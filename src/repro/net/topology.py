@@ -19,7 +19,6 @@ unchanged.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Callable, Iterable, Sequence
 
 from ..obs import ensure_obs
@@ -38,6 +37,12 @@ class Topology:
         self._failed_links: set[frozenset[NodeId]] = set()
         self._crashed: set[NodeId] = set()
         self._topology_listeners: list[Callable[[], None]] = []
+        # node -> its live component, filled lazily one BFS per component.
+        # ``_notify_topology`` replaces it (never clears it in place, so a
+        # BFS racing a mutation on the asyncio backend fills the discarded
+        # map); every change to ``_failed_links`` or ``_crashed`` must
+        # therefore go through ``_notify_topology``.
+        self._components: dict[NodeId, frozenset[NodeId]] = {}
         # Bumped on every effective failure/heal event.  Invariant probes
         # compare it across a step to know whether reachability *now* still
         # describes reachability at delivery time.
@@ -167,15 +172,14 @@ class Topology:
         indistinguishable from singleton partitions, but they execute
         nothing until recovered.
         """
-        remaining = [n for n in self.nodes if n not in self._crashed]
         seen: set[NodeId] = set()
         components: list[frozenset[NodeId]] = []
-        for node in remaining:
-            if node in seen:
+        for node in self.nodes:
+            if node in seen or node in self._crashed:
                 continue
             component = self._component_of(node)
             seen |= component
-            components.append(frozenset(component))
+            components.append(component)
         components.sort(key=lambda c: (-len(c), sorted(c)))
         return components
 
@@ -184,7 +188,7 @@ class Topology:
         self._require_node(node)
         if node in self._crashed:
             return frozenset()
-        return frozenset(self._component_of(node))
+        return self._component_of(node)
 
     def is_healthy(self) -> bool:
         """True when no failures are present (one partition, no crashes)."""
@@ -193,17 +197,23 @@ class Topology:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _component_of(self, start: NodeId) -> set[NodeId]:
-        component = {start}
-        frontier = deque([start])
-        while frontier:
-            current = frontier.popleft()
+    def _component_of(self, start: NodeId) -> frozenset[NodeId]:
+        """The live component containing ``start`` (which must be live)."""
+        components = self._components
+        cached = components.get(start)
+        if cached is not None:
+            return cached
+        # Breadth-first: ``visited`` doubles as the queue.
+        visited = [start]
+        for current in visited:
             for other in self.nodes:
-                if other in component or other in self._crashed:
+                if other in visited or other in self._crashed:
                     continue
                 if self.link_up(current, other):
-                    component.add(other)
-                    frontier.append(other)
+                    visited.append(other)
+        component = frozenset(visited)
+        for member in visited:
+            components[member] = component
         return component
 
     def _require_node(self, node: NodeId) -> None:
@@ -211,6 +221,11 @@ class Topology:
             raise KeyError(f"unknown node {node!r}")
 
     def _notify_topology(self) -> None:
+        # Every mutator (fail_link, heal_link, partition, heal_all,
+        # crash_node, recover_node) ends here.  The component cache goes
+        # first: the topology_change event below already asks for
+        # partitions().
+        self._components = {}
         self.topology_version += 1
         if self.obs.enabled:
             self.obs.emit(

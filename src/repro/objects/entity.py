@@ -18,9 +18,9 @@ interface (§4.2.1), and participate in:
 
 from __future__ import annotations
 
-import copy
 from typing import TYPE_CHECKING, Any, Iterable
 
+from ..persistence.values import snapshot
 from .refs import ObjectRef
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,14 +78,19 @@ class Entity:
         self.oid = oid
         self.container = container
         self._attributes: dict[str, Any] = {
-            name: copy.deepcopy(default) for name, default in type(self).fields.items()
+            name: snapshot(default) for name, default in type(self).fields.items()
         }
         for name, value in attributes.items():
             if name not in self._attributes:
                 raise AttributeError(
                     f"{type(self).__name__} has no field {name!r}"
                 )
-            self._attributes[name] = value
+            # A direct entity reference (unwired graphs, see resolve()) is
+            # an identity, not a value; everything else is copied so the
+            # caller's objects never alias the entity's state.
+            self._attributes[name] = (
+                value if isinstance(value, Entity) else snapshot(value)
+            )
         self.version = 0
         self.last_update_time = self._now()
         # Expected seconds between updates; used by
@@ -160,12 +165,22 @@ class Entity:
     # state snapshots (used by replication)
     # ------------------------------------------------------------------
     def state(self) -> dict[str, Any]:
-        """Serializable snapshot of the entity's attributes."""
-        return copy.deepcopy(self._attributes)
+        """Serializable snapshot of the entity's attributes.
+
+        The result shares nothing mutable with the entity: a flat state of
+        immutable values (strings, numbers, ``ObjectRef`` handles) is copied
+        shallowly, anything else is deep-copied (see
+        :func:`~repro.persistence.values.snapshot`).
+        """
+        return snapshot(self._attributes)
 
     def apply_state(self, state: dict[str, Any], version: int | None = None) -> None:
-        """Overwrite attributes from a snapshot (update propagation)."""
-        self._attributes = copy.deepcopy(state)
+        """Overwrite attributes from a snapshot (update propagation).
+
+        The entity keeps its own snapshot of ``state``; later changes to
+        the caller's dict do not reach it.
+        """
+        self._attributes = snapshot(state)
         if version is not None:
             self.version = version
         self.last_update_time = self._now()

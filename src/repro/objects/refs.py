@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..persistence.values import immutable_value
 
+
+@immutable_value
 @dataclass(frozen=True)
 class ObjectRef:
     """Identity of a logical distributed object."""

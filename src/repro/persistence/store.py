@@ -11,12 +11,12 @@ when it persists consistency threats and replica state history.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..sim import CostLedger, CostModel, SimClock
+from .values import snapshot
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ class PersistenceEngine:
         return self._tables[name]
 
     def journal(self) -> list[JournalEntry]:
+        """Every mutation so far; entry values are the stored rows, not
+        copies, so treat them as read-only."""
         return list(self._journal)
 
     def charge(self, category: str) -> None:
@@ -70,9 +72,12 @@ class PersistenceEngine:
 class Table:
     """A named key-value table with journaled, cost-charged access.
 
-    Values are deep-copied on the way in and out, giving the store the
-    value semantics of serialized database rows: mutating a live object
-    never silently mutates its persisted state.
+    Values are snapshotted (:func:`~repro.persistence.values.snapshot`) on
+    the way in and out, giving the store the value semantics of serialized
+    database rows: mutating a live object never silently mutates its
+    persisted state, and mutating a row read back never mutates the store.
+    A flat row of immutable values is copied shallowly; anything holding a
+    mutable value is deep-copied.  The journal records the stored copy.
     """
 
     def __init__(self, name: str, engine: PersistenceEngine) -> None:
@@ -90,24 +95,23 @@ class Table:
         if key in self._rows:
             raise KeyError(f"duplicate key {key!r} in table {self.name!r}")
         self.engine.charge(cost)
-        self._rows[key] = copy.deepcopy(value)
-        self.engine._record(self.name, "insert", key, value)
+        stored = self._rows[key] = snapshot(value)
+        self.engine._record(self.name, "insert", key, stored)
 
     def put(self, key: Any, value: Any, cost: str = "db_write") -> None:
         self.engine.charge(cost)
-        self._rows[key] = copy.deepcopy(value)
-        self.engine._record(self.name, "put", key, value)
+        stored = self._rows[key] = snapshot(value)
+        self.engine._record(self.name, "put", key, stored)
 
     def get(self, key: Any, cost: str = "db_read") -> Any:
         self.engine.charge(cost)
         if key not in self._rows:
             raise KeyError(f"no row {key!r} in table {self.name!r}")
-        return copy.deepcopy(self._rows[key])
+        return snapshot(self._rows[key])
 
     def get_or_none(self, key: Any, cost: str = "db_read") -> Any:
         self.engine.charge(cost)
-        value = self._rows.get(key)
-        return copy.deepcopy(value) if value is not None else None
+        return snapshot(self._rows.get(key))
 
     def delete(self, key: Any, cost: str = "db_delete") -> None:
         self.engine.charge(cost)
@@ -123,7 +127,7 @@ class Table:
         """Iterate a snapshot of all rows, charging one read."""
         self.engine.charge(cost)
         for key, value in list(self._rows.items()):
-            yield key, copy.deepcopy(value)
+            yield key, snapshot(value)
 
     def clear(self) -> None:
         self._rows.clear()
@@ -165,7 +169,7 @@ class StateHistory:
         self.engine.charge("state_history_write")
         entry = StateVersion(
             version=version,
-            state=copy.deepcopy(state),
+            state=snapshot(state),
             timestamp=self.engine.clock.now,
             partition_epoch=partition_epoch,
             txid=txid,
