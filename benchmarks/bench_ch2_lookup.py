@@ -5,13 +5,13 @@ number of repository entries (25–100 classes × 10–50 methods).
 """
 
 from conftest import print_table
-from repro.core import CachingConstraintRepository, ConstraintType, PredicateConstraint
+from repro.core import ConstraintRepository, ConstraintType, PredicateConstraint
 from repro.core.metadata import AffectedMethod, ConstraintRegistration
 from repro.validation import measure_lookup_time
 
 
-def _populated_repository(classes: int, methods: int) -> CachingConstraintRepository:
-    repository = CachingConstraintRepository()
+def _populated_repository(classes: int, methods: int) -> ConstraintRepository:
+    repository = ConstraintRepository(lookup="cached")
     for class_index in range(classes):
         for method_index in range(methods):
             name = f"C{class_index}.m{method_index}"

@@ -25,9 +25,9 @@ def test_slice_runtime(benchmark, mechanism, stage):
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
-@pytest.mark.parametrize("caching", [True, False], ids=["optimized", "plain"])
-def test_search_slice_runtime(benchmark, mechanism, caching):
-    runner = build_slice_runner(mechanism, "search", caching=caching)
+@pytest.mark.parametrize("lookup", ["cached", "linear"], ids=["optimized", "plain"])
+def test_search_slice_runtime(benchmark, mechanism, lookup):
+    runner = build_slice_runner(mechanism, "search", lookup=lookup)
     runner()
     benchmark(runner)
 

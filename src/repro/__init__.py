@@ -20,7 +20,6 @@ from .administration import AdministrationService, AuthorizationError
 from .cluster import ClusterConfig, DedisysCluster
 from .core import (
     AffectedMethod,
-    CachingConstraintRepository,
     Constraint,
     ConstraintPriority,
     ConstraintRepository,
@@ -61,7 +60,6 @@ __all__ = [
     "AdministrationService",
     "AffectedMethod",
     "AuthorizationError",
-    "CachingConstraintRepository",
     "ChaosConfig",
     "ChaosRunner",
     "CheckConfig",

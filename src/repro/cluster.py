@@ -24,8 +24,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 from .core import (
     CCMConfig,
     CCMInterceptor,
-    CachingConstraintRepository,
-    CompiledConstraintRepository,
     ConstraintConsistencyManager,
     ConstraintRegistration,
     ConstraintRepository,
@@ -94,12 +92,11 @@ class ClusterConfig:
     enable_replication: bool = True
     protocol: str | ReplicationProtocol = "p4"
     threat_policy: ThreatStoragePolicy = ThreatStoragePolicy.IDENTICAL_ONCE
-    # Use the optimized (caching) constraint repository by default.
-    caching_repository: bool = True
-    # Repository lookup strategy: "linear", "cached", or "compiled"
-    # (the throughput-engine dispatch table).  ``None`` derives the kind
-    # from ``caching_repository`` for backwards compatibility.
-    repository: str | None = None
+    # Constraint-repository lookup policy: "cached" (the optimized
+    # repository), "linear" (search per invocation) or "compiled" (one
+    # dispatch charge per notification).  It decides only what a lookup
+    # costs in simulated time; every policy reads the same dispatch table.
+    repository: str = "cached"
     # Batch write propagation: coalesce the replica-update multicasts of
     # one transaction into a single batched round with per-entry acks.
     batch_updates: bool = False
@@ -163,20 +160,11 @@ class DedisysCluster:
 
         # One application-wide repository (constraint names are unique per
         # application, §5.3); threat stores are per node and replicated.
-        charge = next(iter(self.nodes.values())).persistence.charge
-        kind = self.config.repository
-        if kind is None:
-            kind = "cached" if self.config.caching_repository else "linear"
-        if kind == "compiled":
-            self.repository: ConstraintRepository = CompiledConstraintRepository(
-                charge=charge, obs=self.obs
-            )
-        elif kind == "cached":
-            self.repository = CachingConstraintRepository(charge=charge)
-        elif kind == "linear":
-            self.repository = ConstraintRepository(charge=charge)
-        else:
-            raise ValueError(f"unknown repository kind {kind!r}")
+        self.repository = ConstraintRepository(
+            charge=next(iter(self.nodes.values())).persistence.charge,
+            lookup=self.config.repository,
+            obs=self.obs,
+        )
 
         self.replication: ReplicationManager | None = None
         if self.config.enable_replication:

@@ -52,8 +52,6 @@ from .reconciliation import (
     ReconciliationReport,
 )
 from .repository import (
-    CachingConstraintRepository,
-    CompiledConstraintRepository,
     ConstraintRepository,
     MethodDispatch,
 )
@@ -77,8 +75,6 @@ __all__ = [
     "AffectedMethod",
     "CCMConfig",
     "CCMInterceptor",
-    "CachingConstraintRepository",
-    "CompiledConstraintRepository",
     "CalledObjectIsContextObject",
     "CallbackNegotiationHandler",
     "CheckCategory",

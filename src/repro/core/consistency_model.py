@@ -134,7 +134,7 @@ CONSISTENCY_MODEL: tuple[Requirement, ...] = (
         RequirementKind.CROSS_CUTTING,
         "Consistency management must not dominate system performance.",
         (
-            "core.repository.CachingConstraintRepository",
+            "core.repository.MethodDispatch",
             "validation.adaptive.AdaptiveDispatchTable",
             "core.ccmgr.CCMConfig",
         ),

@@ -5,25 +5,30 @@ class, method signature, and constraint type.  Constraints can be added,
 removed, enabled and disabled during runtime — the flexibility that
 motivates explicit runtime constraints in the first place.
 
-Three lookup strategies reproduce (and extend) the Chapter-2 finding that
-repository search dominates interception cost:
+There is one repository and one way to find a method's registrations: a
+dispatch table, rebuilt lazily after every registration change (the same
+§6.3 ``on_change`` trigger the adaptive instrumentation uses), that groups
+each ``(class, method)``'s registrations by constraint type.  The
+consistency manager reads it through :meth:`ConstraintRepository.method_dispatch`.
 
-* :class:`ConstraintRepository` — linear scan per query ("constraint
-  repository with search per invocation").
-* :class:`CachingConstraintRepository` — an optimized repository caching
-  query results in a hash table keyed by (class, method, constraint type);
-  a repeat query reduces to a single dict lookup (§2.2.1), measured at
-  0.25–0.52 µs in the paper and size-independent.
-* :class:`CompiledConstraintRepository` — the throughput-engine variant: a
-  dispatch table precomputed on every registration change (via the §6.3
-  ``on_change`` hook) groups each method's registrations by constraint
-  type, so the consistency manager's 5–6 per-invocation queries collapse
-  into one :meth:`~ConstraintRepository.method_dispatch` lookup.
+The ``lookup`` policy only decides what a lookup *costs* in simulated time,
+reproducing (and extending) the Chapter-2 finding that repository search
+dominates interception cost:
 
-All three stay runtime-mutable: constraints can be added, removed, enabled
-and disabled at any time, and ``enabled``/tradeability are honoured at
-query time so even direct toggles on the :class:`Constraint` object are
-picked up immediately.
+* ``"linear"`` — the "constraint repository with search per invocation":
+  every typed access is charged as a ``repository_search``, and the Ch. 2
+  query API :meth:`~ConstraintRepository.affected_constraints` really scans
+  the registrations.
+* ``"cached"`` (default) — the optimized repository hashing query results
+  by (class, method, constraint type) (§2.2.1): the first typed access to a
+  key since the last registration change is a ``repository_search``, every
+  later one a ``repository_lookup_cached`` (0.25–0.52 µs in the paper,
+  size-independent).
+* ``"compiled"`` — the throughput-engine accounting: one
+  ``repository_dispatch`` per method lookup covers every constraint type.
+
+``enabled`` and tradeability are evaluated at access time, so even direct
+toggles on the :class:`Constraint` object are honoured without a rebuild.
 """
 
 from __future__ import annotations
@@ -36,89 +41,113 @@ from .metadata import AffectedMethod, ConstraintRegistration
 
 ChargeFn = Callable[[str], None]
 
+#: The accepted ``lookup`` policies.
+LOOKUPS = ("linear", "cached", "compiled")
+
 
 class MethodDispatch:
-    """Compiled dispatch entry for one ``(class_name, method_name)``.
+    """Dispatch entry for one ``(class_name, method_name)``.
 
     Registrations are grouped by :class:`ConstraintType` at table-build
     time; ``enabled`` is evaluated at access time so a constraint toggled
     directly on the :class:`Constraint` object (bypassing the repository's
     ``enable``/``disable``) is still honoured without a rebuild.
+
+    Each typed access is charged by the repository's lookup policy:
+    ``charge`` is ``None`` when nothing is charged per type, and
+    ``searched`` holds the types already searched when lookups are cached.
     """
 
-    __slots__ = ("key", "_by_type", "_all")
+    __slots__ = ("_by_type", "_all", "_charge", "_searched")
 
     def __init__(
         self,
-        key: tuple[str, str],
         by_type: dict[ConstraintType, tuple[ConstraintRegistration, ...]],
         all_registrations: tuple[ConstraintRegistration, ...],
+        charge: ChargeFn | None = None,
+        searched: set[ConstraintType | None] | None = None,
     ) -> None:
-        self.key = key
         self._by_type = by_type
         self._all = all_registrations
+        self._charge = charge
+        self._searched = searched
 
     def registrations(
         self, constraint_type: ConstraintType | None = None
-    ) -> tuple[ConstraintRegistration, ...]:
-        """The enabled registrations of one type (all types for ``None``)."""
+    ) -> list[ConstraintRegistration]:
+        """The enabled registrations of one type (all types for ``None``),
+        as a fresh list."""
+        charge = self._charge
+        if charge is not None:
+            searched = self._searched
+            if searched is None:
+                charge("repository_search")
+            elif constraint_type in searched:
+                charge("repository_lookup_cached")
+            else:
+                searched.add(constraint_type)
+                charge("repository_search")
         entries = self._all if constraint_type is None else self._by_type.get(
             constraint_type, ()
         )
-        return tuple(
-            registration
-            for registration in entries
-            if registration.constraint.enabled
-        )
-
-    @property
-    def preconditions(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.PRECONDITION)
-
-    @property
-    def postconditions(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.POSTCONDITION)
-
-    @property
-    def hard_invariants(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.INVARIANT_HARD)
-
-    @property
-    def soft_invariants(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.INVARIANT_SOFT)
-
-    @property
-    def async_invariants(self) -> tuple[ConstraintRegistration, ...]:
-        return self.registrations(ConstraintType.INVARIANT_ASYNC)
+        # Registrations are nearly always enabled: copy the grouped tuple
+        # and filter only when one is not.
+        for registration in entries:
+            if not registration.constraint.enabled:
+                return [entry for entry in entries if entry.constraint.enabled]
+        return list(entries)
 
     def any_tradeable(self) -> bool:
         """Whether any enabled affected constraint is currently tradeable.
 
         Tradeability is adaptation-mutable (the actuator flips priorities
-        at runtime), so it is evaluated live rather than precomputed.
+        at runtime), so it is evaluated live rather than precomputed.  The
+        types are queried in :class:`ConstraintType` order and the probe
+        stops at the first type holding a tradeable registration, so a
+        per-type lookup policy charges exactly the accesses made.
         """
         return any(
             registration.constraint.is_tradeable()
-            for registration in self._all
-            if registration.constraint.enabled
+            for constraint_type in ConstraintType
+            for registration in self.registrations(constraint_type)
         )
 
     def __len__(self) -> int:
         return len(self._all)
 
 
-#: Shared entry for methods without any registered constraint.
-_EMPTY_DISPATCH = MethodDispatch(("", ""), {}, ())
-
-
 class ConstraintRepository:
-    """Linear-search repository of constraint registrations."""
+    """Repository of constraint registrations behind one dispatch table.
 
-    def __init__(self, charge: ChargeFn | None = None) -> None:
+    ``lookup`` is one of :data:`LOOKUPS` and decides only what a lookup is
+    charged (see the module docstring); ``charge`` receives the cost
+    category of every charged lookup.
+    """
+
+    def __init__(
+        self,
+        charge: ChargeFn | None = None,
+        lookup: str = "cached",
+        obs: Any = None,
+    ) -> None:
+        if lookup not in LOOKUPS:
+            raise ValueError(f"unknown repository lookup {lookup!r}")
+        self.lookup = lookup
         self._registrations: list[ConstraintRegistration] = []
         self._by_name: dict[str, ConstraintRegistration] = {}
         self._charge = charge
         self._listeners: list[Callable[[], None]] = []
+        # compiled: one charge per method lookup; otherwise per typed access.
+        self._dispatch_charge = charge if lookup == "compiled" else None
+        self._entry_charge = None if lookup == "compiled" else charge
+        self._table: dict[tuple[str, str], MethodDispatch] | None = None
+        self.rebuilds = 0
+        self.obs = ensure_obs(obs)
+        if lookup == "compiled":
+            self._m_rebuilds = self.obs.registry.counter(
+                "repository_dispatch_rebuilds_total",
+                "compiled constraint dispatch-table rebuilds",
+            )
 
     def on_change(self, listener: Callable[[], None]) -> None:
         """Register a callback fired whenever the registration set or an
@@ -185,26 +214,40 @@ class ConstraintRepository:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def method_dispatch(self, class_name: str, method_name: str) -> MethodDispatch:
+        """The dispatch entry of one method — how the consistency manager
+        finds the registrations an invocation affects."""
+        if self._dispatch_charge is not None:
+            self._dispatch_charge("repository_dispatch")
+        table = self._table
+        if table is None:
+            table = self._rebuild()
+        entry = table.get((class_name, method_name))
+        if entry is None:
+            # Unconstrained method: an empty entry, kept so cached lookups
+            # of it are charged like those of any other key.
+            entry = table[(class_name, method_name)] = self._entry({}, ())
+        return entry
+
     def affected_constraints(
         self,
         class_name: str,
         method_name: str,
         constraint_type: ConstraintType | None = None,
     ) -> list[ConstraintRegistration]:
-        """Constraints triggered by an invocation of the given method."""
-        if self._charge is not None:
-            self._charge("repository_search")
-        return self._search(class_name, method_name, constraint_type)
+        """Constraints triggered by an invocation of the given method.
 
-    def method_dispatch(self, class_name: str, method_name: str) -> MethodDispatch | None:
-        """Compiled per-method dispatch entry, or ``None`` when this
-        repository kind answers queries per constraint type instead.
-
-        The consistency manager probes this once per notification; a
-        non-``None`` result replaces its 5–6 ``affected_constraints``
-        queries with the precomputed grouping.
+        The Ch. 2 query API: the ``linear`` policy really scans the
+        registrations (the "plain" repository of the R4 slice); the other
+        policies answer from the dispatch table.
         """
-        return None
+        if self.lookup == "linear":
+            if self._charge is not None:
+                self._charge("repository_search")
+            return self._search(class_name, method_name, constraint_type)
+        return self.method_dispatch(class_name, method_name).registrations(
+            constraint_type
+        )
 
     def invariants(self) -> list[ConstraintRegistration]:
         """All enabled invariant constraints (reconciliation uses these)."""
@@ -223,12 +266,11 @@ class ConstraintRepository:
         class_name: str,
         method_name: str,
         constraint_type: ConstraintType | None,
-        only_enabled: bool = True,
     ) -> list[ConstraintRegistration]:
         matches = []
         for registration in self._registrations:
             constraint = registration.constraint
-            if only_enabled and not constraint.enabled:
+            if not constraint.enabled:
                 continue
             if constraint_type is not None and constraint.constraint_type is not constraint_type:
                 continue
@@ -239,119 +281,22 @@ class ConstraintRepository:
         return matches
 
     def _invalidate(self) -> None:
-        """Hook for caching subclasses; notifies change listeners."""
+        """Drop the dispatch table; notify change listeners."""
+        self._table = None
         for listener in self._listeners:
             listener()
 
-
-class CachingConstraintRepository(ConstraintRepository):
-    """Optimized repository: query results cached in a hash table.
-
-    The cache key combines class, method, and constraint type (§2.2.1).
-    Registration changes invalidate the cache.  Cached lists hold every
-    *matching* registration regardless of its enabled state; ``enabled``
-    is re-checked per query, so a constraint toggled directly on the
-    :class:`Constraint` object (bypassing ``enable``/``disable`` and hence
-    the invalidation hook) never yields stale results.
-    """
-
-    def __init__(self, charge: ChargeFn | None = None) -> None:
-        super().__init__(charge)
-        self._cache: dict[
-            tuple[str, str, ConstraintType | None], list[ConstraintRegistration]
-        ] = {}
-
-    def affected_constraints(
+    def _entry(
         self,
-        class_name: str,
-        method_name: str,
-        constraint_type: ConstraintType | None = None,
-    ) -> list[ConstraintRegistration]:
-        key = (class_name, method_name, constraint_type)
-        cached = self._cache.get(key)
-        if cached is None:
-            if self._charge is not None:
-                self._charge("repository_search")
-            cached = self._search(
-                class_name, method_name, constraint_type, only_enabled=False
-            )
-            self._cache[key] = cached
-        elif self._charge is not None:
-            self._charge("repository_lookup_cached")
-        return [
-            registration
-            for registration in cached
-            if registration.constraint.enabled
-        ]
-
-    def _invalidate(self) -> None:
-        self._cache.clear()
-        super()._invalidate()
-
-    @property
-    def cache_size(self) -> int:
-        return len(self._cache)
-
-
-class CompiledConstraintRepository(ConstraintRepository):
-    """Throughput-engine repository: one precomputed dispatch table.
-
-    On every registration change (the same §6.3 ``on_change`` trigger the
-    adaptive instrumentation uses) the table is marked dirty and rebuilt
-    lazily on the next lookup: per ``(class_name, method_name)`` one
-    :class:`MethodDispatch` grouping the affected registrations by
-    constraint type.  A per-invocation lookup is then a single dict access
-    (charged as ``repository_dispatch``), independent of both repository
-    size and the number of constraint types queried.
-
-    The compiled table stays a drop-in component behind the same repository
-    interface — ``affected_constraints`` is answered from the table, and
-    runtime ``register``/``remove``/``enable``/``disable`` work unchanged.
-    """
-
-    def __init__(self, charge: ChargeFn | None = None, obs: Any = None) -> None:
-        super().__init__(charge)
-        self.obs = ensure_obs(obs)
-        self._m_rebuilds = self.obs.registry.counter(
-            "repository_dispatch_rebuilds_total",
-            "compiled constraint dispatch-table rebuilds",
+        by_type: dict[ConstraintType, tuple[ConstraintRegistration, ...]],
+        all_registrations: tuple[ConstraintRegistration, ...],
+    ) -> MethodDispatch:
+        return MethodDispatch(
+            by_type,
+            all_registrations,
+            self._entry_charge,
+            set() if self.lookup == "cached" else None,
         )
-        self._table: dict[tuple[str, str], MethodDispatch] | None = None
-        self.rebuilds = 0
-
-    def method_dispatch(self, class_name: str, method_name: str) -> MethodDispatch:
-        if self._charge is not None:
-            self._charge("repository_dispatch")
-        table = self._table
-        if table is None:
-            table = self._rebuild()
-        return table.get((class_name, method_name), _EMPTY_DISPATCH)
-
-    def affected_constraints(
-        self,
-        class_name: str,
-        method_name: str,
-        constraint_type: ConstraintType | None = None,
-    ) -> list[ConstraintRegistration]:
-        if self._charge is not None:
-            self._charge("repository_dispatch")
-        table = self._table
-        if table is None:
-            table = self._rebuild()
-        entry = table.get((class_name, method_name))
-        if entry is None:
-            return []
-        return list(entry.registrations(constraint_type))
-
-    def _invalidate(self) -> None:
-        self._table = None
-        super()._invalidate()
-
-    @property
-    def compiled_methods(self) -> int:
-        """Number of compiled method entries (builds the table if dirty)."""
-        table = self._table if self._table is not None else self._rebuild()
-        return len(table)
 
     def _rebuild(self) -> dict[tuple[str, str], MethodDispatch]:
         grouped: dict[
@@ -373,8 +318,7 @@ class CompiledConstraintRepository(ConstraintRepository):
                 )
                 ordered.setdefault(key, []).append(registration)
         table = {
-            key: MethodDispatch(
-                key,
+            key: self._entry(
                 {
                     constraint_type: tuple(registrations)
                     for constraint_type, registrations in by_type.items()
@@ -385,7 +329,7 @@ class CompiledConstraintRepository(ConstraintRepository):
         }
         self._table = table
         self.rebuilds += 1
-        if self.obs.enabled:
+        if self.lookup == "compiled" and self.obs.enabled:
             self._m_rebuilds.inc()
             self.obs.emit(
                 "repository_dispatch",

@@ -64,7 +64,7 @@ def build_adaptive_instrumentation(
     counter: CheckCounter | None = None,
 ) -> ScenarioRunner:
     """The 13th approach: direct dispatch, no per-call repository search."""
-    repository = build_repository(caching=True, counter=counter)
+    repository = build_repository("cached", counter)
     table = AdaptiveDispatchTable(repository)
 
     def make_class(cls_name: str) -> type:

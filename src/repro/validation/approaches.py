@@ -529,11 +529,11 @@ def _cheap_extraction(obj: Any, method: str, args: tuple[Any, ...]) -> dict[str,
 
 
 def _build_wrapped_repository(
-    caching: bool,
+    lookup: str,
     counter: CheckCounter | None,
     extraction: Callable[[Any, str, tuple[Any, ...]], dict[str, Any]],
 ) -> ScenarioRunner:
-    repository = build_repository(caching, counter)
+    repository = build_repository(lookup, counter)
 
     def make_class(cls_name: str) -> type:
         base = _BASES[cls_name]
@@ -566,11 +566,11 @@ def _build_wrapped_repository(
 
 
 def build_aspect_repository(counter: CheckCounter | None = None) -> ScenarioRunner:
-    return _build_wrapped_repository(False, counter, _aspect_extraction)
+    return _build_wrapped_repository("linear", counter, _aspect_extraction)
 
 
 def build_aspect_repository_optimized(counter: CheckCounter | None = None) -> ScenarioRunner:
-    return _build_wrapped_repository(True, counter, _aspect_extraction)
+    return _build_wrapped_repository("cached", counter, _aspect_extraction)
 
 
 # ----------------------------------------------------------------------
@@ -613,9 +613,9 @@ class _PlainChain:
 
 
 def _build_patching_repository(
-    caching: bool, counter: CheckCounter | None
+    lookup: str, counter: CheckCounter | None
 ) -> ScenarioRunner:
-    repository = build_repository(caching, counter)
+    repository = build_repository(lookup, counter)
 
     def constraint_interceptor(
         invocation: PlainInvocation, proceed: Callable[[], Any]
@@ -665,11 +665,11 @@ def _build_patching_repository(
 
 
 def build_jboss_repository(counter: CheckCounter | None = None) -> ScenarioRunner:
-    return _build_patching_repository(False, counter)
+    return _build_patching_repository("linear", counter)
 
 
 def build_jboss_repository_optimized(counter: CheckCounter | None = None) -> ScenarioRunner:
-    return _build_patching_repository(True, counter)
+    return _build_patching_repository("cached", counter)
 
 
 # ----------------------------------------------------------------------
@@ -712,9 +712,9 @@ class DynamicProxy:
 
 
 def _build_proxy_repository(
-    caching: bool, counter: CheckCounter | None
+    lookup: str, counter: CheckCounter | None
 ) -> ScenarioRunner:
-    repository = build_repository(caching, counter)
+    repository = build_repository(lookup, counter)
 
     def invoke(target: Any, method: str, args: tuple[Any, ...]) -> Any:
         # Reflective dispatch: resolve the method on the live object —
@@ -740,11 +740,11 @@ def _build_proxy_repository(
 
 
 def build_proxy_repository(counter: CheckCounter | None = None) -> ScenarioRunner:
-    return _build_proxy_repository(False, counter)
+    return _build_proxy_repository("linear", counter)
 
 
 def build_proxy_repository_optimized(counter: CheckCounter | None = None) -> ScenarioRunner:
-    return _build_proxy_repository(True, counter)
+    return _build_proxy_repository("cached", counter)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from ..core.model import (
     ConstraintType,
     ConstraintValidationContext,
 )
-from ..core.repository import CachingConstraintRepository, ConstraintRepository
+from ..core.repository import ConstraintRepository
 from .workload import CONSTRAINT_SPECS, ConstraintSpec
 
 CheckFn = Callable[[Any, tuple[Any, ...], Any, Any], bool]
@@ -192,14 +192,12 @@ class SpecConstraint(Constraint):
 
 
 def build_repository(
-    caching: bool,
+    lookup: str,
     counter: CheckCounter | None = None,
     specs: Sequence[ConstraintSpec] = CONSTRAINT_SPECS,
 ) -> ConstraintRepository:
     """Register all specs as explicit constraint classes in a repository."""
-    repository: ConstraintRepository = (
-        CachingConstraintRepository() if caching else ConstraintRepository()
-    )
+    repository = ConstraintRepository(lookup=lookup)
     for compiled in compile_specs(specs):
         constraint = SpecConstraint(compiled, counter)
         affected = tuple(

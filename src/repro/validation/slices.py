@@ -91,13 +91,13 @@ def _make_stage_body(
 def build_slice_runner(
     mechanism: str,
     stage: str,
-    caching: bool = True,
+    lookup: str = "cached",
     counter: CheckCounter | None = None,
 ) -> ScenarioRunner:
     """A scenario runner exercising the given mechanism up to ``stage``."""
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}; expected one of {MECHANISMS}")
-    repository = build_repository(caching, counter) if stage in ("search", "full") else None
+    repository = build_repository(lookup, counter) if stage in ("search", "full") else None
     stage_body = _make_stage_body(mechanism, stage, repository)
     needs_ctor_check = stage == "full" and repository is not None
 

@@ -15,15 +15,34 @@ scenario runs and computes the overhead ratios the paper reports:
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ..core.metadata import AffectedMethod, ConstraintRegistration
 from ..core.model import ConstraintType, PredicateConstraint
-from ..core.repository import CachingConstraintRepository
+from ..core.repository import ConstraintRepository
 from ..transport.wallclock import read_perf_counter
 from .approaches import APPROACHES, ScenarioRunner
 from .slices import MECHANISMS, build_slice_runner
+
+
+@contextmanager
+def _timed_window() -> Iterator[None]:
+    """Run a timed window as ``timeit`` does, with the cyclic garbage
+    collector off (after collecting what is pending).  Otherwise a
+    collection owed to earlier allocations — set-up included — lands in
+    whichever window happens to be running and can swamp a
+    sub-millisecond measurement such as R1."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def measure_runner(runner: ScenarioRunner, runs: int, warmup: int = 2) -> float:
@@ -32,10 +51,11 @@ def measure_runner(runner: ScenarioRunner, runs: int, warmup: int = 2) -> float:
         runner()
     # The Chapter-2 study measures *real* CPU cost of validation
     # approaches; wall-clock time is the measurement, not sim state.
-    started = read_perf_counter()
-    for _ in range(runs):
-        runner()
-    return read_perf_counter() - started
+    with _timed_window():
+        started = read_perf_counter()
+        for _ in range(runs):
+            runner()
+        return read_perf_counter() - started
 
 
 @dataclass
@@ -102,10 +122,10 @@ def run_slice_study(runs: int = 30, warmup: int = 3) -> SliceResult:
             build_slice_runner(mechanism, "extraction"), runs, warmup
         )
         timings["search-plain"] = measure_runner(
-            build_slice_runner(mechanism, "search", caching=False), runs, warmup
+            build_slice_runner(mechanism, "search", lookup="linear"), runs, warmup
         )
         timings["search-optimized"] = measure_runner(
-            build_slice_runner(mechanism, "search", caching=True), runs, warmup
+            build_slice_runner(mechanism, "search", lookup="cached"), runs, warmup
         )
         result.seconds[mechanism] = timings
     return result
@@ -123,7 +143,7 @@ def measure_lookup_time(
     the difference between runs with and without lookups divided by the
     number of lookups.
     """
-    repository = CachingConstraintRepository()
+    repository = ConstraintRepository(lookup="cached")
     for class_index in range(classes):
         class_name = f"Class{class_index}"
         for method_index in range(methods_per_class):
@@ -148,17 +168,19 @@ def measure_lookup_time(
         repository.affected_constraints(class_name, method, ConstraintType.INVARIANT_HARD)
     # Timed loop with lookups vs. the same loop without: real CPU cost is
     # the quantity under study here, so wall clock is intentional.
-    started = read_perf_counter()
-    index = 0
-    for _ in range(lookups):
-        class_name, method = keys[index]
-        repository.affected_constraints(class_name, method, ConstraintType.INVARIANT_HARD)
-        index = (index + 1) % len(keys)
-    with_lookups = read_perf_counter() - started
-    started = read_perf_counter()
-    index = 0
-    for _ in range(lookups):
-        class_name, method = keys[index]
-        index = (index + 1) % len(keys)
-    without_lookups = read_perf_counter() - started
+    with _timed_window():
+        started = read_perf_counter()
+        index = 0
+        for _ in range(lookups):
+            class_name, method = keys[index]
+            repository.affected_constraints(class_name, method, ConstraintType.INVARIANT_HARD)
+            index = (index + 1) % len(keys)
+        with_lookups = read_perf_counter() - started
+    with _timed_window():
+        started = read_perf_counter()
+        index = 0
+        for _ in range(lookups):
+            class_name, method = keys[index]
+            index = (index + 1) % len(keys)
+        without_lookups = read_perf_counter() - started
     return max(0.0, (with_lookups - without_lookups) / lookups)

@@ -57,12 +57,19 @@ class TestAdaptiveInstrumentation:
 
     def test_no_search_in_steady_state(self):
         """Zero repository queries per invocation once instrumented."""
-        charges = []
+        queries = []
         runner = build_adaptive_instrumentation()
         result = runner()
-        runner.repository._charge = charges.append
+        repository = runner.repository
+        for name in ("affected_constraints", "method_dispatch"):
+            query = getattr(repository, name)
+            setattr(
+                repository,
+                name,
+                lambda *args, query=query: queries.append(args) or query(*args),
+            )
         result["employees"][0].reset_day()
-        assert charges == []
+        assert queries == []
 
     def test_faster_than_repository_dispatch(self):
         """The ablation claim: removing the per-call search pays off."""

@@ -5,10 +5,10 @@ import pytest
 from repro.core import (
     AcceptAllHandler,
     CCMInterceptor,
-    CachingConstraintRepository,
     ConsistencyThreatRejected,
     ConstraintConsistencyManager,
     ConstraintPriority,
+    ConstraintRepository,
     ConstraintScope,
     ConstraintType,
     ConstraintUncheckable,
@@ -72,7 +72,7 @@ class Harness:
         self.txmgr = TransactionManager()
         self.node = Node("n1", SimClock(), CostModel(), CostLedger(), self.txmgr)
         self.node.container.deploy(Flight)
-        self.repository = CachingConstraintRepository()
+        self.repository = ConstraintRepository()
         self.store = ThreatStore(self.node.persistence)
         self.ccmgr = ConstraintConsistencyManager(
             self.node,

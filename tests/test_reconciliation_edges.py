@@ -152,7 +152,7 @@ class TestReconcileWithCcmDisabled:
 class TestCachingDisabledCluster:
     def test_plain_repository_cluster_works(self):
         cluster = DedisysCluster(
-            ClusterConfig(node_ids=NODES, caching_repository=False)
+            ClusterConfig(node_ids=NODES, repository="linear")
         )
         cluster.deploy(Flight)
         cluster.register_constraint(ticket_constraint_registration())

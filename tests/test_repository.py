@@ -1,13 +1,13 @@
-"""Tests for the constraint repository (plain, caching, and compiled)."""
+"""Tests for the constraint repository under its three lookup policies."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import (
-    CachingConstraintRepository,
-    CompiledConstraintRepository,
+    ConstraintPriority,
     ConstraintRepository,
     ConstraintType,
+    MethodDispatch,
     PredicateConstraint,
 )
 from repro.core.metadata import AffectedMethod, ConstraintRegistration
@@ -18,15 +18,17 @@ def make_registration(name, cls="Flight", method="sell", ctype=ConstraintType.IN
     return ConstraintRegistration(constraint, (AffectedMethod(cls, method),))
 
 
+LOOKUPS = ("linear", "cached", "compiled")
+
+
+# The ids keep the names of the repository classes the three lookup
+# policies replaced, so the parametrized test ids stay stable.
 @pytest.fixture(
-    params=[
-        ConstraintRepository,
-        CachingConstraintRepository,
-        CompiledConstraintRepository,
-    ]
+    params=LOOKUPS,
+    ids=["ConstraintRepository", "CachingConstraintRepository", "CompiledConstraintRepository"],
 )
 def repository(request):
-    return request.param()
+    return ConstraintRepository(lookup=request.param)
 
 
 class TestRegistration:
@@ -131,57 +133,67 @@ class TestRuntimeManagement:
 
 
 class TestCachingBehaviour:
-    def test_cache_populated_on_first_query(self):
-        repository = CachingConstraintRepository()
+    """Charge sequences of the lookup policies (what a lookup costs)."""
+
+    def cached(self, charges):
+        repository = ConstraintRepository(charge=charges.append, lookup="cached")
         repository.register(make_registration("c1"))
-        assert repository.cache_size == 0
-        repository.affected_constraints("Flight", "sell")
-        assert repository.cache_size == 1
+        return repository
+
+    def test_cache_populated_on_first_query(self):
+        charges = []
+        repository = self.cached(charges)
+        repository.affected_constraints("Flight", "sell", ConstraintType.PRECONDITION)
+        repository.affected_constraints("Flight", "sell", ConstraintType.INVARIANT_HARD)
+        repository.affected_constraints("Flight", "sell", ConstraintType.PRECONDITION)
+        # One search per (class, method, type) key, then cached lookups.
+        assert charges == ["repository_search", "repository_search", "repository_lookup_cached"]
 
     def test_cached_result_is_copy(self):
-        repository = CachingConstraintRepository()
-        repository.register(make_registration("c1"))
+        repository = self.cached([])
         first = repository.affected_constraints("Flight", "sell")
         first.append("junk")  # type: ignore[arg-type]
         second = repository.affected_constraints("Flight", "sell")
         assert len(second) == 1
 
     def test_cache_invalidated_on_register(self):
-        repository = CachingConstraintRepository()
-        repository.register(make_registration("c1"))
+        charges = []
+        repository = self.cached(charges)
         repository.affected_constraints("Flight", "sell")
         repository.register(make_registration("c2"))
-        assert repository.cache_size == 0
+        assert len(repository.affected_constraints("Flight", "sell")) == 2
+        assert charges == ["repository_search", "repository_search"]
 
     def test_cache_invalidated_on_disable(self):
-        repository = CachingConstraintRepository()
-        repository.register(make_registration("c1"))
+        charges = []
+        repository = self.cached(charges)
         repository.affected_constraints("Flight", "sell")
         repository.disable("c1")
         assert repository.affected_constraints("Flight", "sell") == []
+        assert charges == ["repository_search", "repository_search"]
 
     def test_charge_function_called(self):
         charges = []
-        repository = CachingConstraintRepository(charge=charges.append)
-        repository.register(make_registration("c1"))
+        repository = self.cached(charges)
         repository.affected_constraints("Flight", "sell")
         repository.affected_constraints("Flight", "sell")
         assert charges == ["repository_search", "repository_lookup_cached"]
 
     def test_plain_repository_always_searches(self):
         charges = []
-        repository = ConstraintRepository(charge=charges.append)
+        repository = ConstraintRepository(charge=charges.append, lookup="linear")
         repository.register(make_registration("c1"))
         repository.affected_constraints("Flight", "sell")
+        repository.method_dispatch("Flight", "sell").registrations(ConstraintType.PRECONDITION)
         repository.affected_constraints("Flight", "sell")
-        assert charges == ["repository_search", "repository_search"]
+        assert charges == ["repository_search"] * 3
 
     def test_direct_enabled_toggle_not_served_stale(self):
         # Regression: flipping ``constraint.enabled`` on the Constraint
         # object directly bypasses enable()/disable() and therefore the
-        # cache-invalidation hook.  A cached (pre-toggle) query result
-        # must not resurrect the disabled constraint.
-        repository = CachingConstraintRepository()
+        # invalidation hook.  An earlier (pre-toggle) query must not
+        # resurrect the disabled constraint.
+        repository = ConstraintRepository(lookup="cached")
         registration = make_registration("c1")
         repository.register(registration)
         assert len(repository.affected_constraints("Flight", "sell")) == 1
@@ -191,7 +203,7 @@ class TestCachingBehaviour:
         assert len(repository.affected_constraints("Flight", "sell")) == 1
 
     def test_direct_enabled_toggle_with_type_key(self):
-        repository = CachingConstraintRepository()
+        repository = ConstraintRepository(lookup="cached")
         registration = make_registration("c1", ctype=ConstraintType.PRECONDITION)
         repository.register(registration)
         query = lambda: repository.affected_constraints(
@@ -202,6 +214,69 @@ class TestCachingBehaviour:
         assert query() == []
 
 
+def notification_charges(lookup, notifications=2, method="sell"):
+    """Charges of CCMgr-style notifications: one dispatch lookup, then
+    the five typed accesses."""
+    charges = []
+    repository = ConstraintRepository(charge=charges.append, lookup=lookup)
+    repository.register(make_registration("c1"))
+    for _ in range(notifications):
+        dispatch = repository.method_dispatch("Flight", method)
+        for constraint_type in ConstraintType:
+            dispatch.registrations(constraint_type)
+    return charges
+
+
+class TestLookupPolicies:
+    def test_unknown_lookup_rejected(self):
+        with pytest.raises(ValueError):
+            ConstraintRepository(lookup="hashed")
+
+    def test_default_lookup_is_cached(self):
+        assert ConstraintRepository().lookup == "cached"
+
+    def test_method_dispatch_never_none(self, repository):
+        repository.register(make_registration("c1"))
+        for method in ("sell", "unknown"):
+            assert isinstance(repository.method_dispatch("Flight", method), MethodDispatch)
+
+    def test_linear_charges_every_typed_access(self):
+        assert notification_charges("linear") == ["repository_search"] * 10
+
+    def test_cached_charges_search_once_per_type(self):
+        assert notification_charges("cached") == (
+            ["repository_search"] * 5 + ["repository_lookup_cached"] * 5
+        )
+
+    def test_cached_charges_unconstrained_method_like_any_key(self):
+        assert notification_charges("cached", method="unknown") == (
+            ["repository_search"] * 5 + ["repository_lookup_cached"] * 5
+        )
+
+    def test_compiled_charges_one_dispatch_per_lookup(self):
+        assert notification_charges("compiled") == ["repository_dispatch"] * 2
+
+    @pytest.mark.parametrize(
+        "lookup, expected",
+        [
+            ("linear", ["repository_search"] * 3),
+            ("cached", ["repository_search"] * 3),
+            ("compiled", ["repository_dispatch"]),
+        ],
+    )
+    def test_shed_probe_stops_at_first_tradeable_type(self, lookup, expected):
+        charges = []
+        repository = ConstraintRepository(charge=charges.append, lookup=lookup)
+        repository.register(make_registration("pre", ctype=ConstraintType.PRECONDITION))
+        tradeable = make_registration("hard", ctype=ConstraintType.INVARIANT_HARD)
+        tradeable.constraint.priority = ConstraintPriority.RELAXABLE
+        repository.register(tradeable)
+        # PRECONDITION (critical), POSTCONDITION (none), INVARIANT_HARD
+        # (tradeable): the probe stops there.
+        assert repository.method_dispatch("Flight", "sell").any_tradeable()
+        assert charges == expected
+
+
 @given(
     names=st.lists(
         st.text(alphabet="abcdefgh", min_size=1, max_size=6), min_size=1, max_size=20, unique=True
@@ -209,11 +284,11 @@ class TestCachingBehaviour:
     queries=st.lists(st.sampled_from(["m1", "m2", "m3"]), max_size=10),
 )
 def test_caching_repository_equivalent_to_plain(names, queries):
-    """Property: the optimized repositories return exactly what the plain
-    one does for any registration set and query sequence."""
-    plain = ConstraintRepository()
-    caching = CachingConstraintRepository()
-    compiled = CompiledConstraintRepository()
+    """Property: the table-backed policies return exactly what the linear
+    search does for any registration set and query sequence."""
+    plain = ConstraintRepository(lookup="linear")
+    caching = ConstraintRepository(lookup="cached")
+    compiled = ConstraintRepository(lookup="compiled")
     for index, name in enumerate(names):
         method = f"m{(index % 3) + 1}"
         plain.register(make_registration(name, method=method))

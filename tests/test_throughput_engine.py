@@ -1,7 +1,7 @@
 """Throughput engine: compiled dispatch table and batched propagation.
 
-Covers the two opt-in optimizations end to end: the
-:class:`CompiledConstraintRepository` dispatch table (correctness against
+Covers the two opt-in optimizations end to end: the repository's
+dispatch table under the ``compiled`` lookup policy (correctness against
 linear search, runtime invalidation via register/remove/enable/disable
 and the §6.3 ``on_change`` hook, live ``enabled``/tradeability), the
 CCMgr integration (same outcomes, fewer repository charges), and batched
@@ -17,7 +17,6 @@ import pytest
 from repro.apps.flightbooking import Flight, ticket_constraint_registration
 from repro.cluster import ClusterConfig, DedisysCluster
 from repro.core import (
-    CompiledConstraintRepository,
     ConstraintPriority,
     ConstraintRepository,
     ConstraintType,
@@ -44,8 +43,8 @@ def populate(repository):
 
 class TestCompiledDispatch:
     def test_matches_linear_search_for_every_type(self):
-        linear = ConstraintRepository()
-        compiled = CompiledConstraintRepository()
+        linear = ConstraintRepository(lookup="linear")
+        compiled = ConstraintRepository(lookup="compiled")
         populate(linear)
         populate(compiled)
         for method in ("sell", "cancel", "unknown"):
@@ -59,36 +58,43 @@ class TestCompiledDispatch:
                 assert got == expected, (method, ctype)
 
     def test_dispatch_groups_every_constraint_type(self):
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         populate(compiled)
         dispatch = compiled.method_dispatch("Flight", "sell")
-        assert [r.name for r in dispatch.preconditions] == ["sell-precondition"]
-        assert [r.name for r in dispatch.postconditions] == ["sell-postcondition"]
-        assert [r.name for r in dispatch.hard_invariants] == ["sell-invariant_hard"]
-        assert [r.name for r in dispatch.soft_invariants] == ["sell-invariant_soft"]
-        assert [r.name for r in dispatch.async_invariants] == ["sell-invariant_async"]
+        for ctype in ALL_TYPES:
+            assert [r.name for r in dispatch.registrations(ctype)] == [
+                f"sell-{ctype.name.lower()}"
+            ]
         assert len(dispatch) == len(ALL_TYPES)
 
     def test_unknown_method_yields_empty_dispatch(self):
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         populate(compiled)
         dispatch = compiled.method_dispatch("Flight", "unknown")
         assert len(dispatch) == 0
-        assert dispatch.registrations() == ()
+        assert dispatch.registrations() == []
         assert not dispatch.any_tradeable()
 
-    def test_non_compiled_repositories_answer_none(self):
-        assert ConstraintRepository().method_dispatch("Flight", "sell") is None
+    def test_every_lookup_answers_a_dispatch(self):
+        # One dispatch path: the policies differ in charges, not in how
+        # registrations are found.
+        for lookup in ("linear", "cached", "compiled"):
+            repository = ConstraintRepository(lookup=lookup)
+            populate(repository)
+            dispatch = repository.method_dispatch("Flight", "sell")
+            assert [r.name for r in dispatch.registrations()] == [
+                f"sell-{ctype.name.lower()}" for ctype in ALL_TYPES
+            ]
 
     def test_register_invalidates_table(self):
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         compiled.register(make_registration("c1"))
         assert len(compiled.method_dispatch("Flight", "sell")) == 1
         compiled.register(make_registration("c2"))
         assert len(compiled.method_dispatch("Flight", "sell")) == 2
 
     def test_remove_invalidates_table(self):
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         compiled.register(make_registration("c1"))
         compiled.register(make_registration("c2"))
         assert len(compiled.method_dispatch("Flight", "sell")) == 2
@@ -98,15 +104,15 @@ class TestCompiledDispatch:
         ]
 
     def test_enable_disable_reflected_in_dispatch(self):
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         compiled.register(make_registration("c1"))
         compiled.disable("c1")
-        assert compiled.method_dispatch("Flight", "sell").registrations() == ()
+        assert compiled.method_dispatch("Flight", "sell").registrations() == []
         compiled.enable("c1")
         assert len(compiled.method_dispatch("Flight", "sell").registrations()) == 1
 
     def test_rebuild_is_lazy_and_counted(self):
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         compiled.register(make_registration("c1"))
         compiled.register(make_registration("c2"))
         assert compiled.rebuilds == 0
@@ -120,7 +126,7 @@ class TestCompiledDispatch:
         assert compiled.rebuilds == 2
 
     def test_on_change_listener_fires_for_all_mutations(self):
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         fired = []
         compiled.on_change(lambda: fired.append(True))
         compiled.register(make_registration("c1"))
@@ -132,7 +138,7 @@ class TestCompiledDispatch:
     def test_listener_query_during_invalidation_sees_fresh_table(self):
         # An on_change listener (adaptive instrumentation, §6.3) may query
         # the repository immediately; it must see the post-change state.
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         observed = []
         compiled.on_change(
             lambda: observed.append(len(compiled.method_dispatch("Flight", "sell")))
@@ -147,13 +153,13 @@ class TestCompiledDispatch:
         # toggle on the Constraint object itself bypasses the on_change
         # hook, so the compiled table cannot rebuild — ``enabled`` must be
         # filtered at access time instead.
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         registration = make_registration("c1")
         compiled.register(registration)
         dispatch = compiled.method_dispatch("Flight", "sell")
         rebuilds = compiled.rebuilds
         registration.constraint.enabled = False
-        assert dispatch.registrations() == ()
+        assert dispatch.registrations() == []
         assert compiled.affected_constraints("Flight", "sell") == []
         registration.constraint.enabled = True
         assert len(dispatch.registrations()) == 1
@@ -162,7 +168,7 @@ class TestCompiledDispatch:
     def test_tradeability_evaluated_live(self):
         # The adaptation actuator flips priorities directly on the
         # Constraint; any_tradeable() must follow without a rebuild.
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         registration = make_registration("c1")
         compiled.register(registration)
         dispatch = compiled.method_dispatch("Flight", "sell")
@@ -173,7 +179,7 @@ class TestCompiledDispatch:
         assert not dispatch.any_tradeable()
 
     def test_duplicate_affected_method_triggers_once(self):
-        compiled = CompiledConstraintRepository()
+        compiled = ConstraintRepository(lookup="compiled")
         constraint = PredicateConstraint("dup", lambda ctx: True)
         compiled.register(
             ConstraintRegistration(
@@ -185,10 +191,12 @@ class TestCompiledDispatch:
 
     def test_charge_categories(self):
         charges = []
-        compiled = CompiledConstraintRepository(charge=charges.append)
+        compiled = ConstraintRepository(charge=charges.append, lookup="compiled")
         compiled.register(make_registration("c1"))
-        compiled.method_dispatch("Flight", "sell")
+        dispatch = compiled.method_dispatch("Flight", "sell")
         compiled.affected_constraints("Flight", "sell")
+        # Typed accesses on a compiled entry are free.
+        dispatch.registrations(ConstraintType.INVARIANT_HARD)
         assert charges == ["repository_dispatch", "repository_dispatch"]
 
 

@@ -152,11 +152,11 @@ class TestViolationDetection:
 
 class TestRepositoryBacked:
     def test_build_repository_registers_all(self):
-        repository = build_repository(caching=True)
+        repository = build_repository("cached")
         assert len(repository) == 78
 
     def test_repository_lookup_by_trigger(self):
-        repository = build_repository(caching=False)
+        repository = build_repository("linear")
         matches = repository.affected_constraints("Employee", "log_work")
         names = {m.name for m in matches}
         assert "PreLogWorkPositive" in names
