@@ -4,7 +4,8 @@ Turns the sim substrate into a validation tool: instead of sampling the
 one FIFO schedule a seed happens to produce, the checker *searches* the
 interleaving space of enabled events — FIFO/LIFO/seeded-random policies
 plus a bounded-depth systematic DFS — evaluating a registry of safety
-invariants at every step, and shrinking any violating schedule to a
+invariants at every step and once more after the closing heal and
+reconciliation, and shrinking any violating schedule to a
 small, deterministic JSON repro.
 
 Typical use::
@@ -27,13 +28,17 @@ from .explorer import (
 )
 from .invariants import (
     AtMostOnePrimaryPerPartition,
+    ClusterHealthyAgain,
     Invariant,
     InvariantRegistry,
     LatticeMonotonicity,
+    NoAcceptedThreatLost,
     NoCrossPartitionDelivery,
     ReplicaConvergence,
+    ReplicasConverge,
     RunProbe,
     ThreatAccounting,
+    Verdict,
     Violation,
     default_registry,
 )
@@ -63,6 +68,7 @@ __all__ = [
     "CANONICAL_SCENARIOS",
     "CheckConfig",
     "ChoicePoint",
+    "ClusterHealthyAgain",
     "Counterexample",
     "ExplorationReport",
     "FifoPolicy",
@@ -71,17 +77,20 @@ __all__ = [
     "LatticeMonotonicity",
     "LifoPolicy",
     "ModelChecker",
+    "NoAcceptedThreatLost",
     "NoCrossPartitionDelivery",
     "Op",
     "RandomPolicy",
     "RecordingPolicy",
     "ReplayPolicy",
     "ReplicaConvergence",
+    "ReplicasConverge",
     "RunProbe",
     "RunResult",
     "Scenario",
     "ShrinkResult",
     "ThreatAccounting",
+    "Verdict",
     "Violation",
     "default_registry",
     "healthy_scenario",

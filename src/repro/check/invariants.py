@@ -1,12 +1,15 @@
-"""The invariant registry evaluated at every exploration step.
+"""The invariant registry: per-step safety properties and a final phase.
 
 Invariants are the safety properties the dissertation's availability /
 integrity trade rests on, phrased as side-effect-free probes over a live
-cluster.  The model checker evaluates every registered invariant after
-every scheduler step of every explored schedule; the first violation
-aborts the run and becomes a counterexample.
+cluster.  Every run of the scenario executor (:mod:`repro.check.runner`)
+checks the step invariants after every step; the first violation aborts
+the run and becomes a counterexample.  A run that drains clean ends with
+the *final* phase: after heal and a closing reconciliation,
+:class:`ReplicasConverge`, :class:`NoAcceptedThreatLost` and
+:class:`ClusterHealthyAgain` are checked once.
 
-Built-ins:
+Step built-ins:
 
 * :class:`AtMostOnePrimaryPerPartition` — under P4 each partition elects
   at most one (temporary) primary per object; two write targets inside
@@ -21,6 +24,7 @@ Built-ins:
   network, every node holds byte-identical replica state per object.
 * :class:`NoCrossPartitionDelivery` — no message is delivered between
   nodes that were unreachable from each other when it was sent.
+* :class:`AdaptationGuardrails` — the adaptation loop's own ledger.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..core.model import SatisfactionDegree
+from ..core.system_mode import SystemMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster import DedisysCluster
@@ -54,8 +59,11 @@ class RunProbe:
     # during the step, reachability "now" no longer describes delivery
     # time and delivery checks stand down for this step.
     topology_before: int = 0
-    # Reconciliation report produced *during the current step*, if any.
+    # Reconciliation report produced *during the current step*, if any
+    # (final phase: the closing one, and the distinct threats stored
+    # just before it).
     just_reconciled: Any = None
+    threats_recorded: int = 0
 
     @property
     def topology_changed(self) -> bool:
@@ -80,10 +88,26 @@ class Violation:
         }
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """One invariant's outcome as a run report lists it."""
+
+    name: str
+    ok: bool
+    detail: str = ""
+
+
 class Invariant:
-    """One safety property; ``check`` returns a violation detail or None."""
+    """One safety property.
+
+    A ``"step"`` invariant is checked after every step; its ``check``
+    returns a violation detail or None.  A ``"final"`` invariant is
+    checked once, after drain, heal and the closing reconciliation; its
+    ``check`` returns ``(ok, detail)`` so a pass can carry its counts.
+    """
 
     name = "abstract"
+    phase = "step"
 
     def begin_run(self) -> None:
         """Reset any cross-step state before a new schedule runs."""
@@ -280,24 +304,94 @@ class AdaptationGuardrails(Invariant):
         return None
 
 
+class ReplicasConverge(Invariant):
+    """After heal + reconciliation every replica holds the same state."""
+
+    name = "replicas_converge"
+    phase = "final"
+
+    def check(self, probe: RunProbe) -> tuple[bool, str]:
+        views = [
+            (
+                ref,
+                {
+                    state if state is not None else ("missing", node_id)
+                    for node_id, state in probe.cluster.replica_states(ref).items()
+                },
+            )
+            for ref in probe.refs
+        ]
+        diverged = [
+            f"{ref}: {sorted(map(str, states))}" for ref, states in views if len(states) != 1
+        ]
+        return not diverged, "; ".join(diverged[:3])
+
+
+class NoAcceptedThreatLost(Invariant):
+    """Every distinct threat present before the closing reconciliation is
+    re-evaluated and removed/resolved/deferred/postponed."""
+
+    name = "no_accepted_threat_lost"
+    phase = "final"
+
+    def check(self, probe: RunProbe) -> tuple[bool, str]:
+        recon = probe.just_reconciled
+        recorded = probe.threats_recorded
+        accounted = recon.satisfied_removed + recon.violations_found + recon.postponed
+        ok = recon.threats_reevaluated >= recorded and accounted >= recorded
+        remaining = sum(
+            store.count_identities() for store in probe.cluster.threat_stores.values()
+        )
+        if recon.postponed == 0 and recon.deferred == 0:
+            ok = ok and remaining == 0
+        return ok, (
+            f"recorded={recorded} reevaluated={recon.threats_reevaluated} "
+            f"accounted={accounted} remaining={remaining}"
+        )
+
+
+class ClusterHealthyAgain(Invariant):
+    """One partition, no crashes, every node back in HEALTHY mode (when
+    reconciliation ran clean; postponed/deferred work legitimately keeps
+    nodes out)."""
+
+    name = "cluster_healthy_again"
+    phase = "final"
+
+    def check(self, probe: RunProbe) -> tuple[bool, str]:
+        recon = probe.just_reconciled
+        cluster = probe.cluster
+        healthy = cluster.network.is_healthy()
+        if recon.postponed or recon.deferred:
+            return healthy, f"postponed={recon.postponed} deferred={recon.deferred}"
+        modes = {node: cluster.mode_of(node) for node in cluster.nodes}
+        healthy = healthy and all(mode is SystemMode.HEALTHY for mode in modes.values())
+        return healthy, "" if healthy else str({n: m.value for n, m in modes.items()})
+
+
 class InvariantRegistry:
-    """An ordered set of invariants evaluated together at each step."""
+    """Ordered invariants: ``invariants`` are checked after every step,
+    ``final`` once at the end of the run (routed by ``phase``)."""
 
     def __init__(self, invariants: tuple[Invariant, ...] = ()) -> None:
-        self.invariants: list[Invariant] = list(invariants)
+        self.invariants: list[Invariant] = []
+        self.final: list[Invariant] = []
+        for invariant in invariants:
+            self.register(invariant)
 
     def register(self, invariant: Invariant) -> "InvariantRegistry":
-        self.invariants.append(invariant)
+        (self.final if invariant.phase == "final" else self.invariants).append(invariant)
         return self
 
     def names(self) -> list[str]:
-        return [invariant.name for invariant in self.invariants]
+        return [invariant.name for invariant in (*self.invariants, *self.final)]
 
     def begin_run(self) -> None:
-        for invariant in self.invariants:
+        for invariant in (*self.invariants, *self.final):
             invariant.begin_run()
 
     def evaluate(self, probe: RunProbe) -> list[Violation]:
+        """The step phase: every violation found after this step."""
         violations: list[Violation] = []
         for invariant in self.invariants:
             detail = invariant.check(probe)
@@ -312,9 +406,13 @@ class InvariantRegistry:
                 )
         return violations
 
+    def conclude(self, probe: RunProbe) -> list[Verdict]:
+        """The final phase: one verdict per final invariant, in order."""
+        return [Verdict(invariant.name, *invariant.check(probe)) for invariant in self.final]
+
 
 def default_registry() -> InvariantRegistry:
-    """Fresh instances of every built-in invariant."""
+    """Fresh instances of every built-in invariant, both phases."""
     return InvariantRegistry(
         (
             AtMostOnePrimaryPerPartition(),
@@ -323,5 +421,8 @@ def default_registry() -> InvariantRegistry:
             ReplicaConvergence(),
             NoCrossPartitionDelivery(),
             AdaptationGuardrails(),
+            ReplicasConverge(),
+            NoAcceptedThreatLost(),
+            ClusterHealthyAgain(),
         )
     )

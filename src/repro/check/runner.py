@@ -1,15 +1,18 @@
-"""One controlled run of a scenario under an ordering policy.
+"""The one scenario executor: fire ops, classify outcomes, check invariants.
 
-:func:`run_schedule` rebuilds the world from the scenario, installs the
-fault script and the workload as simulator events, then drives the
-scheduler step by step with the given :class:`OrderingPolicy` deciding
-among enabled events.  Every registered invariant is evaluated after
-every step; the first violation aborts the schedule and is returned with
-the full decision sequence, so the explorer can replay and shrink it.
+:class:`_OpDriver` is the only code that fires a :class:`Scenario` op: it
+counts each outcome as served or blocked (:data:`BLOCKING_ERRORS`),
+tallies error classes and ``(at, ok)`` availability samples, records
+every reconciliation with its handler, and evaluates the invariant
+registry — the step phase after every step (the first violation aborts
+the run), the final phase once after drain → ``heal()`` → reconcile.
 
-Observability: each run exports ``check_*`` counters (steps, decisions,
-invariant evaluations, violations) and a final ``check_schedule`` trace
-event carrying the run's schedule fingerprint.
+:func:`execute` is the event loop over it, shared by :func:`run_schedule`
+(explorer, fuzzing, golden traces; ``check_*`` counters and a closing
+``check_schedule`` event with the schedule fingerprint) and
+:func:`~repro.faults.chaos.replay_scenario` (scheduler's own order,
+closing ``corpus_replay``).  :class:`~repro.faults.chaos.ChaosRunner`
+fires its seeded ops inline through the same driver.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Iterator
+from typing import Any, Callable, ContextManager
 
 from ..core import (
     AcceptAllHandler,
@@ -25,20 +28,22 @@ from ..core import (
     ConstraintViolated,
     OperationShedded,
 )
+from ..faults.resilience import CircuitOpenError
 from ..net import DeadlineExceededError, NodeCrashedError, UnreachableError
 from ..obs import Observability
 from ..replication import WriteAccessDenied
 from ..tx import TransactionRolledBack
-from .invariants import InvariantRegistry, RunProbe, Violation, default_registry
+from .invariants import InvariantRegistry, RunProbe, Verdict, Violation, default_registry
 from .policies import ChoicePoint, FifoPolicy, RecordingPolicy
 from .scenario import Op, Scenario
 
 # Errors a workload op may legitimately hit mid-fault; the op counts as
-# blocked, the schedule continues.
+# blocked, the run continues.
 BLOCKING_ERRORS = (
     UnreachableError,
     NodeCrashedError,
     DeadlineExceededError,
+    CircuitOpenError,
     WriteAccessDenied,
     ConsistencyThreatRejected,
     ConstraintViolated,
@@ -80,22 +85,29 @@ class RunResult:
 
 
 class _OpDriver:
-    """Fires scenario ops inside scheduler events and tallies outcomes."""
+    """Fires scenario ops, tallies their outcomes, evaluates invariants."""
 
     def __init__(
         self,
         cluster: Any,
         refs: tuple[Any, ...],
-        probe: RunProbe,
-        scenario: Scenario | None = None,
+        registry: InvariantRegistry,
+        reconcile_handler: Callable[[Any], Any],
     ) -> None:
         self.cluster = cluster
         self.refs = refs
-        self.probe = probe
-        self.scenario = scenario
+        self.registry = registry
+        self.reconcile_handler = reconcile_handler
+        self.probe = RunProbe(cluster=cluster, refs=refs)
         self.attempted = 0
         self.served = 0
         self.blocked = 0
+        self.errors: dict[str, int] = {}
+        self.samples: list[tuple[float, bool]] = []
+        self.reconciliations: list[Any] = []
+        self.constraint_handlers: list[Any] = []
+        self.violations: list[Violation] = []
+        self.verdicts: list[Verdict] = []
         self._handler = AcceptAllHandler()
 
     def install(self, ops: tuple[Op, ...], start: float) -> None:
@@ -103,21 +115,20 @@ class _OpDriver:
         # (building charges simulated cost, so absolute zero is long gone).
         for op in ops:
             self.cluster.scheduler.schedule_at(
-                start + op.at, self._fire, op, label=op.label()
+                start + op.at, self.fire, op, label=op.label()
             )
 
-    def _fire(self, op: Op) -> None:
+    def fire(self, op: Op) -> bool:
+        """Fire one op and classify it; True when it was served."""
         self.attempted += 1
         try:
             if op.kind == "reconcile":
-                handler = (
-                    self.scenario.reconcile_handler(self.cluster)
-                    if self.scenario is not None
-                    else None
-                )
+                handler = self.reconcile_handler(self.cluster)
+                self.constraint_handlers.append(handler)
                 self.probe.just_reconciled = self.cluster.reconcile(
                     constraint_handler=handler
                 )
+                self.reconciliations.append(self.probe.just_reconciled)
             else:
                 self.cluster.invoke(
                     op.node,
@@ -126,15 +137,121 @@ class _OpDriver:
                     *op.args,
                     negotiation_handler=self._handler,
                 )
-        except BLOCKING_ERRORS:
+        except BLOCKING_ERRORS as exc:
             self.blocked += 1
-        else:
-            self.served += 1
+            name = type(exc).__name__
+            self.errors[name] = self.errors.get(name, 0) + 1
+            self.samples.append((op.at, False))
+            return False
+        self.served += 1
+        self.samples.append((op.at, True))
+        return True
+
+    # ------------------------------------------------------------------
+    # invariant phases
+    # ------------------------------------------------------------------
+    def begin_step(self) -> None:
+        """Take the watermarks the step invariants compare against."""
+        self.probe.delivered_before = self.cluster.network.delivered_count
+        self.probe.topology_before = self.cluster.network.topology_version
+        self.probe.just_reconciled = None
+
+    def end_step(self) -> bool:
+        """Evaluate the step phase; True when the run must stop."""
+        self.probe.step += 1
+        self.violations = self.registry.evaluate(self.probe)
+        return bool(self.violations)
+
+    def run(self, max_steps: int) -> None:
+        """Step the scheduler until it drains or an invariant breaks."""
+        scheduler = self.cluster.scheduler
+        while True:
+            self.begin_step()
+            if scheduler.step() is None or self.end_step():
+                return
+            if self.probe.step >= max_steps:
+                raise RuntimeError(
+                    f"schedule exceeded {max_steps} steps (runaway scenario?)"
+                )
+
+    def conclude(self) -> None:
+        """The final phase: drain, heal, reconcile, check final invariants."""
+        cluster = self.cluster
+        cluster.scheduler.drain()
+        self.probe.threats_recorded = len(
+            {ident for store in cluster.threat_stores.values() for ident in store.identities()}
+        )
+        cluster.heal()
+        handler = self.reconcile_handler(cluster)
+        self.constraint_handlers.append(handler)
+        self.probe.just_reconciled = cluster.reconcile(constraint_handler=handler)
+        self.reconciliations.append(self.probe.just_reconciled)
+        self.verdicts = self.registry.conclude(self.probe)
+
+    @property
+    def invariants(self) -> list[Verdict]:
+        """The step violation that stopped the run, else the final verdicts."""
+        return [
+            Verdict(violation.invariant, False, violation.detail)
+            for violation in self.violations
+        ] + self.verdicts
+
+    def outcome(self) -> dict[str, Any]:
+        """The fields every run report shares (``faults.chaos.RunReport``)."""
+        return {
+            "attempted": self.attempted,
+            "served": self.served,
+            "blocked": self.blocked,
+            "errors": self.errors,
+            "threats_recorded": self.probe.threats_recorded,
+            "invariants": self.invariants,
+            # The final phase ran unless a step violation stopped the run.
+            "reconciliation": None if self.violations else self.reconciliations[-1],
+            "reconciliations": self.reconciliations,
+            "constraint_handlers": self.constraint_handlers,
+            "snapshot": self.cluster.snapshot(),
+            "trace_jsonl": _export(self.cluster.obs),
+        }
 
 
-@contextlib.contextmanager
-def _no_mutation(cluster: Any) -> Iterator[None]:
-    yield
+def _export(obs: Any) -> str:
+    stream = io.StringIO()
+    obs.export_jsonl(stream)
+    return stream.getvalue()
+
+
+def execute(
+    scenario: Scenario,
+    obs: Observability,
+    registry: InvariantRegistry,
+    policy: RecordingPolicy | None,
+    mutation: Mutation | None = None,
+    max_steps: int = 10_000,
+) -> _OpDriver:
+    """One run of ``scenario``: build, install, step, then the final phase.
+
+    ``policy`` orders the enabled events (None keeps the scheduler's own
+    order); ``mutation`` holds a test-only middleware breakage in place
+    for the whole run, final phase included.
+    """
+    cluster, refs = scenario.build(obs)
+    driver = _OpDriver(cluster, refs, registry, scenario.reconcile_handler)
+    start = cluster.clock.now
+    driver.install(scenario.ops, start)
+    scenario.shifted_fault_schedule(start).install(cluster.network)
+    registry.begin_run()
+    scheduler = cluster.scheduler
+    if policy is not None:
+        policy.begin_run()
+        scheduler.set_ordering_policy(policy)
+    try:
+        with mutation(cluster) if mutation else contextlib.nullcontext():
+            driver.run(max_steps)
+            if not driver.violations:
+                driver.conclude()
+    finally:
+        scheduler.set_ordering_policy(None)
+    return driver
 
 
 def run_schedule(
@@ -148,56 +265,32 @@ def run_schedule(
 ) -> RunResult:
     """Run one schedule of ``scenario`` under ``policy``; check invariants.
 
-    Stops at the first invariant violation (the remaining events never
-    fire — the violating prefix is the counterexample).  ``mutation``
-    optionally installs a test-only middleware breakage for the whole run.
+    Stops at the first step violation (the remaining events never fire —
+    the violating prefix is the counterexample); a run that drains clean
+    ends with the final phase, whose failures are violations too.
     """
     policy = policy if policy is not None else FifoPolicy()
     registry = registry if registry is not None else default_registry()
     obs = obs if obs is not None else Observability()
-    cluster, refs = scenario.build(obs)
-
-    m_steps = obs.registry.counter("check_steps_total", "scheduler steps driven by the checker")
-    m_decisions = obs.registry.counter("check_decisions_total", "non-trivial scheduling choice points")
-    m_evals = obs.registry.counter("check_invariant_evals_total", "invariant evaluations performed")
-    m_violations = obs.registry.counter("check_violations_total", "invariant violations found")
-
-    probe = RunProbe(cluster=cluster, refs=refs)
-    driver = _OpDriver(cluster, refs, probe, scenario)
-    start = cluster.clock.now
-    driver.install(scenario.ops, start)
-    scenario.shifted_fault_schedule(start).install(cluster.network)
-
-    policy.begin_run()
-    registry.begin_run()
-    violations: list[Violation] = []
-    steps = 0
-    scheduler = cluster.scheduler
-    scheduler.set_ordering_policy(policy)
-    try:
-        with (mutation or _no_mutation)(cluster):
-            while True:
-                probe.delivered_before = cluster.network.delivered_count
-                probe.topology_before = cluster.network.topology_version
-                probe.just_reconciled = None
-                if scheduler.step() is None:
-                    break
-                steps += 1
-                probe.step = steps
-                violations = registry.evaluate(probe)
-                m_evals.inc(len(registry.invariants))
-                if violations:
-                    break
-                if steps >= max_steps:
-                    raise RuntimeError(
-                        f"schedule exceeded {max_steps} steps (runaway scenario?)"
-                    )
-    finally:
-        scheduler.set_ordering_policy(None)
+    driver = execute(scenario, obs, registry, policy, mutation, max_steps)
+    cluster = driver.cluster
+    steps = driver.probe.step
+    violations = driver.violations or [
+        Violation(verdict.name, verdict.detail, steps, cluster.clock.now)
+        for verdict in driver.verdicts
+        if not verdict.ok
+    ]
 
     fingerprint = policy.fingerprint()
-    m_steps.inc(steps)
-    m_decisions.inc(len(policy.decisions))
+    metrics = obs.registry
+    metrics.counter("check_steps_total", "scheduler steps driven by the checker").inc(steps)
+    metrics.counter("check_decisions_total", "non-trivial scheduling choice points").inc(
+        len(policy.decisions)
+    )
+    metrics.counter("check_invariant_evals_total", "invariant evaluations performed").inc(
+        steps * len(registry.invariants) + len(driver.verdicts)
+    )
+    m_violations = metrics.counter("check_violations_total", "invariant violations found")
     if violations:
         m_violations.inc(len(violations))
     obs.emit(
@@ -209,12 +302,6 @@ def run_schedule(
         steps=steps,
         violations=[violation.invariant for violation in violations],
     )
-
-    trace = ""
-    if collect_trace:
-        stream = io.StringIO()
-        obs.export_jsonl(stream)
-        trace = stream.getvalue()
     return RunResult(
         scenario=scenario.name,
         policy=policy.name,
@@ -226,6 +313,6 @@ def run_schedule(
         ops_attempted=driver.attempted,
         ops_served=driver.served,
         ops_blocked=driver.blocked,
-        trace_jsonl=trace,
+        trace_jsonl=_export(obs) if collect_trace else "",
         snapshot=obs.snapshot(),
     )

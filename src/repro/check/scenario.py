@@ -29,11 +29,14 @@ split with a partial heal (PR 3's epoch-aware path) before full repair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from ..apps.registry import Domain, get_domain
-from ..cluster import ClusterConfig, DedisysCluster
+from ..faults.injector import burst_loss_injector
 from ..faults.schedule import FaultSchedule
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..cluster import DedisysCluster
 
 
 def _jsonify(value: Any) -> Any:
@@ -136,6 +139,10 @@ class Scenario:
         the chaos replayer, the corpus, and the model checker all get
         the adaptation loop for free.
         """
+        # Imported here: the cluster imports ``repro.faults``, whose chaos
+        # runner runs on this package's executor.
+        from ..cluster import ClusterConfig, DedisysCluster
+
         spec = self.domain_spec
         weights = self.params.get("node_weights")
         cluster = DedisysCluster(
@@ -155,20 +162,9 @@ class Scenario:
         refs = spec.create_entities(cluster, self.node_ids, self.entities, self.params)
         burst_loss = self.params.get("burst_loss")
         if burst_loss is not None:
-            from ..faults.injector import FaultInjector
-            from ..faults.models import GilbertElliottLoss
-
-            loss = float(burst_loss)
-            injector = FaultInjector(seed=int(self.params.get("seed", 0)))
-            injector.set_default_model(
-                lambda: GilbertElliottLoss(
-                    p_good_to_bad=0.25 * loss / (0.6 - loss),
-                    p_bad_to_good=0.25,
-                    loss_good=0.0,
-                    loss_bad=0.6,
-                )
+            cluster.network.install_fault_injector(
+                burst_loss_injector(float(burst_loss), int(self.params.get("seed", 0)))
             )
-            cluster.network.install_fault_injector(injector)
         initial_actions = self.params.get("adapt_initial")
         if initial_actions:
             from ..adapt import AdaptationActuator

@@ -7,8 +7,9 @@ Two halves of one robustness story:
   :class:`Duplicate`, :class:`DropKinds`) plugged into the network via a
   :class:`FaultInjector`; timestamped :class:`FaultSchedule` scripts
   replayed on the simulation scheduler; and a :class:`ChaosRunner` that
-  generates seeded random fault sequences and checks system invariants
-  after every run.
+  generates seeded random fault sequences and fires its workload through
+  the model checker's executor, so every chaos run is checked against
+  the one invariant registry.
 * **Survive them** — a :class:`RetryPolicy` (exponential backoff, seeded
   jitter), per-invocation deadlines, and per-destination
   :class:`CircuitBreaker` circuits, wired into the client invocation
@@ -20,8 +21,8 @@ from .chaos import (
     ChaosConfig,
     ChaosReport,
     ChaosRunner,
-    InvariantResult,
     ReplayReport,
+    RunReport,
     replay_scenario,
     run_chaos,
 )
@@ -65,13 +66,13 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "GilbertElliottLoss",
-    "InvariantResult",
     "LinkFaultModel",
     "PASS",
     "ReplayReport",
     "ResilienceConfig",
     "ResilienceInterceptor",
     "RetryPolicy",
+    "RunReport",
     "replay_scenario",
     "run_chaos",
 ]

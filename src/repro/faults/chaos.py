@@ -1,71 +1,44 @@
-"""Deterministic chaos runner: seeded random fault sequences + invariants.
+"""Deterministic chaos runner and scenario replay, on the checker's executor.
 
 The Chapter-5 experiments script clean partitions by hand.  The
 :class:`ChaosRunner` instead *generates* a fault script from a seed —
 link failures, heals, crashes, recoveries, partitions — installs it as a
 :class:`~repro.faults.schedule.FaultSchedule` on the simulation
 scheduler, optionally smears Gilbert–Elliott burst loss over every link,
-and drives a seeded read/write workload through the middle of it.  After
-the run it heals everything, reconciles, and checks the system invariants
-the dissertation's availability/integrity trade rests on:
+and paces a seeded read/write workload through the middle of it.  Each
+op fires through :class:`repro.check.runner._OpDriver`, which evaluates
+the step invariants of :func:`repro.check.default_registry` after every
+op and ends the run with the final phase: drain, heal, reconcile, then
+replica convergence, :class:`CommittedStateSurvives` (chaos's own
+durability check), no accepted threat lost, and a healthy cluster.
 
-* **convergence** — after ``heal_all`` + reconciliation every replica of
-  every entity holds the same state;
-* **threat accounting** — no accepted threat is lost from the threat
-  log: every distinct threat recorded during degraded mode is
-  re-evaluated by reconciliation and ends up removed, resolved, deferred
-  or postponed;
-* **durability** — the surviving state of each entity is one that a
-  committed write (or the initial create) actually produced;
-* **recovery** — the cluster returns to a healthy topology and every
-  node perceives the HEALTHY system mode again.
+Ops fire inline, not as scheduled events: with client-side resilience
+the retry backoff calls ``scheduler.run_until`` from inside an op, so
+scheduled ops would nest.  Everything — fault times, fault choices,
+workload, backoff jitter, burst loss — derives from seeds, so one seed
+maps to exactly one byte-identical trace and metric snapshot.
 
-Everything — fault times, fault choices, workload, backoff jitter, burst
-loss — derives from seeds, so one seed maps to exactly one trace: running
-the same configuration twice yields byte-identical event traces and equal
-metric snapshots, which the test suite enforces.
+:func:`replay_scenario` runs a corpus :class:`~repro.check.scenario.Scenario`
+on the same executor as the model checker, in the scheduler's default
+order, and adds a bucketed availability curve.
 """
 
 from __future__ import annotations
 
-import io
 import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..core import (
-    AcceptAllHandler,
-    ConsistencyThreatRejected,
-    ConstraintPriority,
-    ConstraintViolated,
-    OperationShedded,
-    PredicateConstraint,
-    SatisfactionDegree,
-)
+from ..check.invariants import Invariant, RunProbe, Verdict, default_registry
+from ..check.runner import _OpDriver, execute
+from ..check.scenario import Op
+from ..core import ConstraintPriority, PredicateConstraint, SatisfactionDegree
 from ..core.metadata import AffectedMethod, ConstraintRegistration
-from ..core.system_mode import SystemMode
-from ..net import DeadlineExceededError, NodeCrashedError, UnreachableError
 from ..objects import Entity
 from ..obs import Observability
-from ..replication import WriteAccessDenied
-from ..tx import TransactionRolledBack
-from .injector import FaultInjector
-from .models import GilbertElliottLoss
-from .resilience import CircuitOpenError, ResilienceConfig
+from .injector import burst_loss_injector
+from .resilience import ResilienceConfig
 from .schedule import FaultSchedule
-
-# Errors that count as a blocked (but handled) operation.
-_BLOCKING_ERRORS = (
-    UnreachableError,
-    NodeCrashedError,
-    DeadlineExceededError,
-    CircuitOpenError,
-    WriteAccessDenied,
-    ConsistencyThreatRejected,
-    ConstraintViolated,
-    OperationShedded,
-    TransactionRolledBack,
-)
 
 
 class ChaosRecord(Entity):
@@ -88,28 +61,49 @@ def _chaos_constraint() -> ConstraintRegistration:
     )
 
 
-@dataclass(frozen=True)
-class InvariantResult:
-    """Outcome of one post-run invariant check."""
+class CommittedStateSurvives(Invariant):
+    """Final phase: each entity's surviving counter was produced by a
+    committed write (or the initial create)."""
 
-    name: str
-    ok: bool
-    detail: str = ""
+    name = "committed_state_survives"
+    phase = "final"
+
+    def __init__(self, committed: dict[Any, set[int]]) -> None:
+        self.committed = committed
+
+    def check(self, probe: RunProbe) -> tuple[bool, str]:
+        first = next(iter(probe.cluster.nodes))
+        finals = [
+            (ref, probe.cluster.replica_states(ref)[first]) for ref in probe.refs
+        ]
+        lost = [
+            f"{ref}: entity missing"
+            if state is None
+            else f"{ref}: final {dict(state)['counter']} not in committed set"
+            for ref, state in finals
+            if state is None or dict(state)["counter"] not in self.committed[ref]
+        ]
+        return not lost, "; ".join(lost[:3])
 
 
 @dataclass
-class ChaosReport:
-    """Everything one chaos run produced."""
+class RunReport:
+    """What one run on the op driver reports (chaos run or replay)."""
 
-    seed: int
-    fault_events: list[tuple[float, str, tuple[Any, ...]]] = field(default_factory=list)
     attempted: int = 0
     served: int = 0
     blocked: int = 0
     errors: dict[str, int] = field(default_factory=dict)
     threats_recorded: int = 0
-    invariants: list[InvariantResult] = field(default_factory=list)
+    # The step violation that stopped the run, else the final verdicts;
+    # ``reconciliation`` is the closing one (None after a step violation).
+    invariants: list[Verdict] = field(default_factory=list)
     reconciliation: Any = None
+    # Every reconciliation of the run (mid-run ops + closing), with the
+    # constraint handler each one used — the benchmark layer reads
+    # integrity damage (e.g. rebooked tickets) off these.
+    reconciliations: list[Any] = field(default_factory=list)
+    constraint_handlers: list[Any] = field(default_factory=list)
     snapshot: dict[str, Any] = field(default_factory=dict)
     trace_jsonl: str = ""
 
@@ -118,12 +112,25 @@ class ChaosReport:
         return self.served / self.attempted if self.attempted else 0.0
 
     @property
+    def integrity_violations(self) -> int:
+        """Definite constraint violations found across all reconciliations."""
+        return sum(recon.violations_found for recon in self.reconciliations)
+
+    @property
     def all_invariants_hold(self) -> bool:
         return all(result.ok for result in self.invariants)
 
     @property
-    def failed_invariants(self) -> list[InvariantResult]:
+    def failed_invariants(self) -> list[Verdict]:
         return [result for result in self.invariants if not result.ok]
+
+
+@dataclass(kw_only=True)
+class ChaosReport(RunReport):
+    """Everything one chaos run produced."""
+
+    seed: int
+    fault_events: list[tuple[float, str, tuple[Any, ...]]] = field(default_factory=list)
 
 
 @dataclass
@@ -188,58 +195,53 @@ class ChaosRunner:
         cluster.deploy(ChaosRecord)
         cluster.register_constraint(_chaos_constraint())
         if cfg.burst_loss is not None:
-            injector = FaultInjector(seed=cfg.seed)
-            loss = cfg.burst_loss
-            injector.set_default_model(
-                # p_good_to_bad tuned so the steady-state loss matches the
-                # requested rate at loss_bad=0.6, p_bad_to_good=0.25.
-                lambda: GilbertElliottLoss(
-                    p_good_to_bad=0.25 * loss / (0.6 - loss),
-                    p_bad_to_good=0.25,
-                    loss_good=0.0,
-                    loss_bad=0.6,
-                )
+            cluster.network.install_fault_injector(
+                burst_loss_injector(cfg.burst_loss, cfg.seed)
             )
-            cluster.network.install_fault_injector(injector)
 
-        refs = [
+        refs = tuple(
             cluster.create_entity(
                 node_ids[index % cfg.node_count], "ChaosRecord", f"chaos-{index}"
             )
             for index in range(cfg.entities)
-        ]
+        )
         committed: dict[Any, set[int]] = {ref: {0} for ref in refs}
+        registry = default_registry()
+        # Reported between convergence and threat accounting.
+        registry.final.insert(1, CommittedStateSurvives(committed))
+        registry.begin_run()
+        driver = _OpDriver(cluster, refs, registry, lambda _cluster: None)
 
         rng = random.Random(f"chaos:{cfg.seed}")
-        report = ChaosReport(seed=cfg.seed)
-        schedule = self._generate_schedule(rng, node_ids, start=cluster.clock.now)
-        report.fault_events = schedule.to_events()
+        start = cluster.clock.now
+        schedule = self._generate_schedule(rng, node_ids, start=start)
+        fault_events = schedule.to_events()
         schedule.install(cluster.network)
 
-        self._drive_workload(cluster, rng, refs, committed, report)
-
-        # Quiesce: let any still-pending scripted faults fire, then repair
-        # everything and reconcile.
-        cluster.scheduler.drain()
-        pre_reconcile_identities = {
-            identity
-            for store in cluster.threat_stores.values()
-            for identity in store.identities()
-        }
-        report.threats_recorded = len(pre_reconcile_identities)
-        cluster.heal()
-        recon = cluster.reconcile()
-        report.reconciliation = recon
-
-        self._check_invariants(
-            cluster, refs, committed, pre_reconcile_identities, recon, report
-        )
-
-        report.snapshot = cluster.snapshot()
-        stream = io.StringIO()
-        cluster.export_trace(stream)
-        report.trace_jsonl = stream.getvalue()
-        return report
+        value_counter = 0
+        for _ in range(cfg.operations):
+            driver.begin_step()
+            # Advance simulated time so scripted faults fire between ops.
+            cluster.scheduler.run_until(cluster.clock.now + cfg.op_gap)
+            node = rng.choice(node_ids)
+            ref_index = rng.randrange(len(refs))
+            is_read = rng.random() < cfg.read_ratio
+            value_counter += 1
+            op = Op(
+                at=cluster.clock.now - start,
+                kind="invoke",
+                node=node,
+                ref_index=ref_index,
+                method="get_counter" if is_read else "set_counter",
+                args=() if is_read else (value_counter,),
+            )
+            if driver.fire(op) and not is_read:
+                committed[refs[ref_index]].add(value_counter)
+            if driver.end_step():
+                break
+        else:
+            driver.conclude()
+        return ChaosReport(seed=cfg.seed, fault_events=fault_events, **driver.outcome())
 
     # ------------------------------------------------------------------
     # fault-script generation
@@ -304,153 +306,6 @@ class ChaosRunner:
                 schedule.heal_all(at)
         return schedule
 
-    # ------------------------------------------------------------------
-    # workload
-    # ------------------------------------------------------------------
-    def _drive_workload(
-        self,
-        cluster: Any,
-        rng: random.Random,
-        refs: list[Any],
-        committed: dict[Any, set[int]],
-        report: ChaosReport,
-    ) -> None:
-        cfg = self.config
-        node_ids = list(cluster.nodes)
-        handler = AcceptAllHandler()
-        value_counter = 0
-        for _ in range(cfg.operations):
-            # Advance simulated time so scripted faults fire between ops.
-            cluster.scheduler.run_until(cluster.clock.now + cfg.op_gap)
-            node = rng.choice(node_ids)
-            ref = rng.choice(refs)
-            is_read = rng.random() < cfg.read_ratio
-            value_counter += 1
-            report.attempted += 1
-            try:
-                if is_read:
-                    cluster.invoke(node, ref, "get_counter")
-                else:
-                    cluster.invoke(
-                        node,
-                        ref,
-                        "set_counter",
-                        value_counter,
-                        negotiation_handler=handler,
-                    )
-            except _BLOCKING_ERRORS as exc:
-                report.blocked += 1
-                name = type(exc).__name__
-                report.errors[name] = report.errors.get(name, 0) + 1
-            else:
-                report.served += 1
-                if not is_read:
-                    committed[ref].add(value_counter)
-
-    # ------------------------------------------------------------------
-    # invariants
-    # ------------------------------------------------------------------
-    def _check_invariants(
-        self,
-        cluster: Any,
-        refs: list[Any],
-        committed: dict[Any, set[int]],
-        pre_identities: set[Any],
-        recon: Any,
-        report: ChaosReport,
-    ) -> None:
-        report.invariants = [
-            check_replicas_converge(cluster, refs),
-            self._committed_state_survives(cluster, refs, committed),
-            check_no_accepted_threat_lost(cluster, pre_identities, recon),
-            check_cluster_healthy_again(cluster, recon),
-        ]
-
-    @staticmethod
-    def _committed_state_survives(
-        cluster: Any, refs: list[Any], committed: dict[Any, set[int]]
-    ) -> InvariantResult:
-        # Committed updates survive: the surviving counter value was
-        # actually produced by a committed write (or the initial create).
-        lost: list[str] = []
-        for ref in refs:
-            first = cluster.nodes[next(iter(cluster.nodes))]
-            if not first.container.has(ref):
-                lost.append(f"{ref}: entity missing")
-                continue
-            value = first.container.resolve(ref).state()["counter"]
-            if value not in committed[ref]:
-                lost.append(f"{ref}: final {value} not in committed set")
-        return InvariantResult(
-            "committed_state_survives", not lost, "; ".join(lost[:3])
-        )
-
-
-# ----------------------------------------------------------------------
-# post-run invariants (shared between chaos runs and corpus replays)
-# ----------------------------------------------------------------------
-def check_replicas_converge(cluster: Any, refs: Any) -> InvariantResult:
-    """After heal + reconciliation every replica holds the same state."""
-    diverged: list[str] = []
-    for ref in refs:
-        states = set()
-        for node_id in cluster.nodes:
-            node = cluster.nodes[node_id]
-            if not node.container.has(ref):
-                states.add(("missing", node_id))
-                continue
-            entity = node.container.resolve(ref)
-            states.add(tuple(sorted(entity.state().items())))
-        if len(states) != 1:
-            diverged.append(f"{ref}: {sorted(map(str, states))}")
-    return InvariantResult(
-        "replicas_converge",
-        not diverged,
-        "; ".join(diverged[:3]),
-    )
-
-
-def check_no_accepted_threat_lost(
-    cluster: Any, pre_identities: set[Any], recon: Any
-) -> InvariantResult:
-    """Every distinct threat present before reconciliation is accounted
-    for — re-evaluated and removed/resolved/deferred/postponed."""
-    accounted = (
-        recon.satisfied_removed
-        + recon.violations_found
-        + recon.postponed
-    )
-    threat_ok = recon.threats_reevaluated >= len(pre_identities) and accounted >= len(
-        pre_identities
-    )
-    remaining = sum(
-        store.count_identities() for store in cluster.threat_stores.values()
-    )
-    if recon.postponed == 0 and recon.deferred == 0:
-        threat_ok = threat_ok and remaining == 0
-    return InvariantResult(
-        "no_accepted_threat_lost",
-        threat_ok,
-        f"recorded={len(pre_identities)} reevaluated={recon.threats_reevaluated} "
-        f"accounted={accounted} remaining={remaining}",
-    )
-
-
-def check_cluster_healthy_again(cluster: Any, recon: Any) -> InvariantResult:
-    """One partition, no crashes, every node back in HEALTHY mode (when
-    reconciliation ran clean — postponed/deferred work legitimately keeps
-    nodes out)."""
-    healthy = cluster.network.is_healthy()
-    if recon.postponed == 0 and recon.deferred == 0:
-        modes = {node: cluster.mode_of(node) for node in cluster.nodes}
-        healthy = healthy and all(
-            mode is SystemMode.HEALTHY for mode in modes.values()
-        )
-        detail = "" if healthy else str({n: m.value for n, m in modes.items()})
-    else:
-        detail = f"postponed={recon.postponed} deferred={recon.deferred}"
-    return InvariantResult("cluster_healthy_again", healthy, detail)
-
 
 def run_chaos(**overrides: Any) -> ChaosReport:
     """Convenience one-shot: ``run_chaos(seed=3, fault_events=25).availability``."""
@@ -460,52 +315,17 @@ def run_chaos(**overrides: Any) -> ChaosReport:
 # ----------------------------------------------------------------------
 # scenario replay: the corpus-facing entry point
 # ----------------------------------------------------------------------
-@dataclass
-class ReplayReport:
+@dataclass(kw_only=True)
+class ReplayReport(RunReport):
     """Everything one scenario replay produced."""
 
     scenario: str
     domain: str
-    attempted: int = 0
-    served: int = 0
-    blocked: int = 0
-    errors: dict[str, int] = field(default_factory=dict)
-    threats_recorded: int = 0
-    invariants: list[InvariantResult] = field(default_factory=list)
-    reconciliation: Any = None
-    # Every reconciliation run of the replay (mid-run ops + final), with
-    # the constraint handler each one used — the benchmark layer reads
-    # integrity damage (e.g. rebooked tickets) off these.
-    reconciliations: list[Any] = field(default_factory=list)
-    constraint_handlers: list[Any] = field(default_factory=list)
     # Availability over time: one entry per bucket of the op window.
     availability_curve: list[dict[str, Any]] = field(default_factory=list)
     # Canonical JSON lines from the adaptation engine's decision log
     # (empty when the scenario attached no policies).
     adaptation_trace: list[str] = field(default_factory=list)
-    snapshot: dict[str, Any] = field(default_factory=dict)
-    trace_jsonl: str = ""
-
-    @property
-    def availability(self) -> float:
-        return self.served / self.attempted if self.attempted else 0.0
-
-    @property
-    def integrity_violations(self) -> int:
-        """Definite constraint violations found across all reconciliations."""
-        return sum(
-            int(getattr(recon, "violations_found", 0))
-            for recon in self.reconciliations
-            if recon is not None
-        )
-
-    @property
-    def all_invariants_hold(self) -> bool:
-        return all(result.ok for result in self.invariants)
-
-    @property
-    def failed_invariants(self) -> list[InvariantResult]:
-        return [result for result in self.invariants if not result.ok]
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-able summary (sorted-key friendly; no trace, no snapshot)."""
@@ -550,32 +370,19 @@ def _availability_curve(
         span = max(horizon, max((at for at, _ok in samples), default=0.0))
         span = span if span > 0 else bucket_width
         buckets = max(1, -(-int(round(span * 10**9)) // int(round(bucket_width * 10**9))))
-        counts = [[0, 0] for _ in range(buckets)]
-        for at, ok in samples:
-            slot = min(int(at / bucket_width), buckets - 1)
-            counts[slot][0] += 1
-            if ok:
-                counts[slot][1] += 1
-        return [
-            {
-                "until": round((slot + 1) * bucket_width, 6),
-                "attempted": attempted,
-                "served": served,
-                "availability": round(served / attempted, 6) if attempted else None,
-            }
-            for slot, (attempted, served) in enumerate(counts)
-        ]
-    buckets = max(1, buckets)
-    span = horizon if horizon > 0 else 1.0
+        divisor, factor = bucket_width, 1
+    else:  # the horizon split into ``buckets`` equal slots
+        buckets = max(1, buckets)
+        divisor, factor = (horizon if horizon > 0 else 1.0), buckets
     counts = [[0, 0] for _ in range(buckets)]
     for at, ok in samples:
-        slot = min(int(at / span * buckets), buckets - 1)
+        slot = min(int(at / divisor * factor), buckets - 1)
         counts[slot][0] += 1
         if ok:
             counts[slot][1] += 1
     return [
         {
-            "until": round((slot + 1) * span / buckets, 6),
+            "until": round((slot + 1) * divisor / factor, 6),
             "attempted": attempted,
             "served": served,
             "availability": round(served / attempted, 6) if attempted else None,
@@ -590,93 +397,40 @@ def replay_scenario(
     buckets: int = 8,
     bucket_width: float | None = None,
 ) -> ReplayReport:
-    """Replay one :class:`~repro.check.scenario.Scenario` under chaos rules.
+    """Replay one :class:`~repro.check.scenario.Scenario` on the executor.
 
     The same scenario JSON the model checker explores runs here as a
-    single FIFO execution: ops fire as scheduler events, the fault script
-    installs on the network, and after a drain + heal + reconcile the
-    shared post-run invariants (convergence, threat accounting, recovery)
-    are evaluated.  The report carries a bucketed availability curve over
-    the op window — the per-domain series the corpus sweep records.
+    single execution in the scheduler's own order, with the checker's
+    step invariants after every step and the final phase (drain, heal,
+    reconcile with the domain's handler, final invariants) at the end.
+    The report carries a bucketed availability curve over the op window
+    — the per-domain series the corpus sweep records.
     """
     obs = obs if obs is not None else Observability()
-    cluster, refs = scenario.build(obs)
-    start = cluster.clock.now
-    report = ReplayReport(scenario=scenario.name, domain=scenario.domain)
-    samples: list[tuple[float, bool]] = []
-    handler = AcceptAllHandler()
-
-    def fire(op: Any) -> None:
-        report.attempted += 1
-        try:
-            if op.kind == "reconcile":
-                mid_handler = scenario.reconcile_handler(cluster)
-                report.constraint_handlers.append(mid_handler)
-                report.reconciliations.append(
-                    cluster.reconcile(constraint_handler=mid_handler)
-                )
-            else:
-                cluster.invoke(
-                    op.node,
-                    refs[op.ref_index],
-                    op.method,
-                    *op.args,
-                    negotiation_handler=handler,
-                )
-        except _BLOCKING_ERRORS as exc:
-            report.blocked += 1
-            name = type(exc).__name__
-            report.errors[name] = report.errors.get(name, 0) + 1
-            samples.append((op.at, False))
-        else:
-            report.served += 1
-            samples.append((op.at, True))
-
-    for op in scenario.ops:
-        cluster.scheduler.schedule_at(start + op.at, fire, op, label=op.label())
-    scenario.shifted_fault_schedule(start).install(cluster.network)
-    cluster.scheduler.drain()
-
-    pre_identities = {
-        identity
-        for store in cluster.threat_stores.values()
-        for identity in store.identities()
-    }
-    report.threats_recorded = len(pre_identities)
-    cluster.heal()
-    final_handler = scenario.reconcile_handler(cluster)
-    report.constraint_handlers.append(final_handler)
-    recon = cluster.reconcile(constraint_handler=final_handler)
-    report.reconciliation = recon
-    report.reconciliations.append(recon)
-
-    report.invariants = [
-        check_replicas_converge(cluster, refs),
-        check_no_accepted_threat_lost(cluster, pre_identities, recon),
-        check_cluster_healthy_again(cluster, recon),
-    ]
-    horizon = max((op.at for op in scenario.ops), default=0.0)
-    report.availability_curve = _availability_curve(
-        samples, horizon, buckets, bucket_width=bucket_width
-    )
-
+    driver = execute(scenario, obs, default_registry(), policy=None, max_steps=1_000_000)
     obs.emit(
         "corpus_replay",
         scenario=scenario.name,
         domain=scenario.domain,
-        attempted=report.attempted,
-        served=report.served,
-        blocked=report.blocked,
-        violations=[result.name for result in report.failed_invariants],
+        attempted=driver.attempted,
+        served=driver.served,
+        blocked=driver.blocked,
+        violations=[verdict.name for verdict in driver.invariants if not verdict.ok],
     )
     obs.registry.counter(
         "corpus_replay_ops_total", "workload ops replayed from corpus scenarios"
-    ).inc(report.attempted, domain=scenario.domain)
+    ).inc(driver.attempted, domain=scenario.domain)
 
-    if cluster.adaptation is not None:
-        report.adaptation_trace = cluster.adaptation.trace_lines()
-    report.snapshot = cluster.snapshot()
-    stream = io.StringIO()
-    cluster.export_trace(stream)
-    report.trace_jsonl = stream.getvalue()
-    return report
+    cluster = driver.cluster
+    horizon = max((op.at for op in scenario.ops), default=0.0)
+    return ReplayReport(
+        scenario=scenario.name,
+        domain=scenario.domain,
+        availability_curve=_availability_curve(
+            driver.samples, horizon, buckets, bucket_width=bucket_width
+        ),
+        adaptation_trace=(
+            cluster.adaptation.trace_lines() if cluster.adaptation is not None else []
+        ),
+        **driver.outcome(),
+    )

@@ -25,7 +25,7 @@ from typing import Any, Callable
 
 from ..net.messages import NodeId
 from ..obs import ensure_obs
-from .models import PASS, FaultDecision, LinkFaultModel
+from .models import PASS, FaultDecision, GilbertElliottLoss, LinkFaultModel
 
 LinkKey = tuple[NodeId, NodeId]
 
@@ -154,3 +154,21 @@ class FaultInjector:
             rng = random.Random(f"{self.seed}:{source}->{destination}")
             self._rngs[key] = rng
         return rng
+
+
+def burst_loss_injector(loss: float, seed: int) -> FaultInjector:
+    """Gilbert-Elliott burst loss on every link at steady-state ``loss``.
+
+    ``p_good_to_bad`` is tuned so the long-run loss matches ``loss`` at
+    ``loss_bad=0.6`` and ``p_bad_to_good=0.25``.
+    """
+    injector = FaultInjector(seed=seed)
+    injector.set_default_model(
+        lambda: GilbertElliottLoss(
+            p_good_to_bad=0.25 * loss / (0.6 - loss),
+            p_bad_to_good=0.25,
+            loss_good=0.0,
+            loss_bad=0.6,
+        )
+    )
+    return injector

@@ -12,9 +12,10 @@ distinguished when they occur.
 :class:`Topology` carries exactly that state plus the listener/observability
 plumbing; what *delivering a message* means — synchronously charging
 simulated latency versus enqueueing a frame onto a real mailbox or socket —
-is left to the subclass.  Fault injection (chaos, scripted schedules) talks
-only to this interface, which is why the ChaosRunner drives both backends
-unchanged.
+is left to the subclass.  Fault injection (injector models, partition,
+crash and link calls) talks only to this interface, so those calls mean
+the same on every backend; chaos runs themselves build simulated
+clusters only (``ChaosConfig`` has no transport).
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ reaches the mailbox, surfacing the same :class:`UnreachableError` a real
 socket reset would.  Loss probability and installed
 :class:`~repro.faults.injector.FaultInjector` models are consulted on the
 same path, with injected delays becoming real ``time.sleep`` on the
-sending thread — so ChaosRunner fault plans run on both backends.
+sending thread — so fault models and failure calls behave as on the
+simulator.  (Chaos runs and corpus replays still build simulated
+clusters only.)
 
 What this backend intentionally does **not** give: determinism.  Message
 arrival interleaves with real timers (failure-detector heartbeats,

@@ -28,7 +28,7 @@ from .study import (
     SliceResult,
     StudyResult,
     measure_lookup_time,
-    measure_runner,
+    measure_runners,
     run_slice_study,
     run_study,
 )
@@ -74,7 +74,7 @@ __all__ = [
     "checks_by_method",
     "compile_specs",
     "measure_lookup_time",
-    "measure_runner",
+    "measure_runners",
     "parse",
     "run_scenario",
     "run_slice_study",

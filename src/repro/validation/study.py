@@ -45,17 +45,37 @@ def _timed_window() -> Iterator[None]:
             gc.enable()
 
 
-def measure_runner(runner: ScenarioRunner, runs: int, warmup: int = 2) -> float:
-    """Total wall-clock seconds for ``runs`` scenario executions."""
-    for _ in range(warmup):
-        runner()
-    # The Chapter-2 study measures *real* CPU cost of validation
-    # approaches; wall-clock time is the measurement, not sim state.
-    with _timed_window():
-        started = read_perf_counter()
-        for _ in range(runs):
+#: Timed rounds per study: each runner's ``runs`` executions are split
+#: into this many rounds, interleaved across the study's runners.
+ROUNDS = 5
+
+
+def measure_runners(
+    runners: dict[str, ScenarioRunner], runs: int, warmup: int = 2
+) -> dict[str, float]:
+    """Wall-clock seconds for ``runs`` executions of each runner.
+
+    The executions are split into :data:`ROUNDS` equal rounds, and every
+    round times each runner once, in turn, so a swing in host speed hits
+    all runners alike.  As with ``timeit.repeat``, a runner's score is
+    its fastest round (scaled to ``runs`` executions): slower rounds
+    measure interference, not the runner.
+    """
+    for runner in runners.values():
+        for _ in range(warmup):
             runner()
-        return read_perf_counter() - started
+    per_round = max(1, runs // ROUNDS)
+    best = {name: float("inf") for name in runners}
+    for _ in range(max(1, runs // per_round)):
+        for name, runner in runners.items():
+            # The Chapter-2 study measures *real* CPU cost of validation
+            # approaches; wall-clock time is the measurement, not sim state.
+            with _timed_window():
+                started = read_perf_counter()
+                for _ in range(per_round):
+                    runner()
+                best[name] = min(best[name], read_perf_counter() - started)
+    return {name: seconds * runs / per_round for name, seconds in best.items()}
 
 
 @dataclass
@@ -84,9 +104,9 @@ def run_study(
         if required not in names:
             names.insert(0, required)
     result = StudyResult(runs=runs)
-    for name in names:
-        runner = APPROACHES[name].build(None)
-        result.seconds[name] = measure_runner(runner, runs, warmup)
+    result.seconds = measure_runners(
+        {name: APPROACHES[name].build(None) for name in names}, runs, warmup
+    )
     baseline = result.seconds["handcrafted"]
     plain = result.seconds["no-checks"]
     for name, seconds in result.seconds.items():
@@ -110,24 +130,24 @@ class SliceResult:
 
 
 def run_slice_study(runs: int = 30, warmup: int = 3) -> SliceResult:
-    """Measure R2/R3/R4 for the three mechanisms."""
-    plain_runner = APPROACHES["no-checks"].build(None)
-    result = SliceResult(runs=runs, r1_seconds=measure_runner(plain_runner, runs, warmup))
+    """Measure R1 and R2/R3/R4 for the three mechanisms, interleaved."""
+    stages = (
+        ("interception", "interception", "cached"),
+        ("extraction", "extraction", "cached"),
+        ("search-plain", "search", "linear"),
+        ("search-optimized", "search", "cached"),
+    )
+    runners = {"R1": APPROACHES["no-checks"].build(None)}
     for mechanism in MECHANISMS:
-        timings: dict[str, float] = {}
-        timings["interception"] = measure_runner(
-            build_slice_runner(mechanism, "interception"), runs, warmup
-        )
-        timings["extraction"] = measure_runner(
-            build_slice_runner(mechanism, "extraction"), runs, warmup
-        )
-        timings["search-plain"] = measure_runner(
-            build_slice_runner(mechanism, "search", lookup="linear"), runs, warmup
-        )
-        timings["search-optimized"] = measure_runner(
-            build_slice_runner(mechanism, "search", lookup="cached"), runs, warmup
-        )
-        result.seconds[mechanism] = timings
+        for label, stage, lookup in stages:
+            runners[f"{mechanism}/{label}"] = build_slice_runner(
+                mechanism, stage, lookup=lookup
+            )
+    seconds = measure_runners(runners, runs, warmup)
+    result = SliceResult(runs=runs, r1_seconds=seconds.pop("R1"))
+    for key, value in seconds.items():
+        mechanism, label = key.split("/")
+        result.seconds.setdefault(mechanism, {})[label] = value
     return result
 
 

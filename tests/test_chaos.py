@@ -76,6 +76,22 @@ class TestInvariants:
             "cluster_healthy_again",
         ]
 
+    def test_step_invariants_are_checked_after_every_op(self, monkeypatch):
+        from repro.cluster import DedisysCluster
+
+        def split_brain(cluster, ref):
+            nodes = tuple(sorted(cluster.nodes))
+            return {frozenset(nodes): nodes[:2]}
+
+        monkeypatch.setattr(DedisysCluster, "write_targets", split_brain)
+        report = run(0)
+        assert [inv.name for inv in report.failed_invariants] == [
+            "at_most_one_primary_per_partition"
+        ]
+        # The first op's check stops the run; the final phase never runs.
+        assert report.attempted == 1
+        assert report.reconciliation is None
+
     def test_faults_actually_block_something(self):
         # Sanity: across seeds the fault script does disturb the workload
         # (a chaos runner whose faults never bite tests nothing).

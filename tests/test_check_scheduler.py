@@ -17,7 +17,7 @@ import io
 import pytest
 
 from repro.check import FifoPolicy, LifoPolicy, single_partition_scenario
-from repro.check.invariants import RunProbe
+from repro.check.invariants import default_registry
 from repro.check.runner import _OpDriver
 from repro.obs import Observability
 from repro.sim.scheduler import OrderingPolicy, Scheduler
@@ -148,7 +148,7 @@ def drive_scenario(policy):
     obs = Observability()
     scenario = single_partition_scenario()
     cluster, refs = scenario.build(obs)
-    driver = _OpDriver(cluster, refs, RunProbe(cluster=cluster, refs=refs))
+    driver = _OpDriver(cluster, refs, default_registry(), scenario.reconcile_handler)
     start = cluster.clock.now
     driver.install(scenario.ops, start)
     scenario.shifted_fault_schedule(start).install(cluster.network)

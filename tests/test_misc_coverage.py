@@ -5,7 +5,7 @@ import pytest
 from repro import ClusterConfig, DedisysCluster
 from repro.apps.flightbooking import Flight
 from repro.net import GroupChannel, SimNetwork
-from repro.validation import APPROACHES, measure_runner, run_study
+from repro.validation import APPROACHES, measure_runners, run_study
 from repro.validation.study import StudyResult
 
 NODES = ("a", "b", "c")
@@ -14,7 +14,7 @@ NODES = ("a", "b", "c")
 class TestStudyHelpers:
     def test_measure_runner_returns_positive_seconds(self):
         runner = APPROACHES["no-checks"].build(None)
-        assert measure_runner(runner, runs=2, warmup=0) > 0
+        assert measure_runners({"no-checks": runner}, runs=2, warmup=0)["no-checks"] > 0
 
     def test_run_study_inserts_baselines(self):
         result = run_study(["jml"], runs=2, warmup=0)
